@@ -8,9 +8,9 @@ The package builds a small laboratory out of four layers:
   and symplectic pairings, projectors and frame conventions,
 * ``grids``/``geometry`` -- spectral and finite-difference calculus on a
   periodic grid with a Grassmann-even zweibein,
-* ``fields``/``functionals``/``symmetry`` -- the physical fields, the energy
-  functionals built from them, and the transformation generators whose
-  invariance and stationarity claims are certified by the ``cli`` suites.
+* ``fields``/``functionals`` -- the physical fields and the energy
+  functionals built from them, whose first variations ride along in the
+  ``eps`` slot.
 """
 
 from .grassmann import DualScalar, GeneratorMismatch, GrassmannElement, NoBody

@@ -37,9 +37,6 @@ GAMMA12 = ((0, 1), (-1, 0))
 # almost complex structure, -gamma^1 gamma^2
 ACI = ((0, -1), (1, 0))
 
-EPS_LOWER = ((0, 1), (-1, 0))  # eps_{kj}, eps_{12} = +1
-EPS_UPPER = ((0, 1), (-1, 0))  # eps^{kl}, eps^{12} = +1
-
 
 class RingMismatch(TypeError):
     """Spinor components from incompatible coefficient rings were combined."""
@@ -109,21 +106,6 @@ def clifford_act(alpha, s: MajoranaSpinor) -> MajoranaSpinor:
     a1 = mat_apply(GAMMA1, s.components)
     a2 = mat_apply(GAMMA2, s.components)
     return MajoranaSpinor((
-        alpha[0] * a1[0] + alpha[1] * a2[0],
-        alpha[0] * a1[1] + alpha[1] * a2[1],
-    ))
-
-
-def clifford_act_dual(alpha, d: DualSpinor) -> DualSpinor:
-    """Clifford action on the dual module.
-
-    Dual components transform by the same matrices as primal ones under the
-    orthonormal frame identification; this is what turns the Dirac operator
-    on dual-spinor-valued fields into a literal componentwise formula.
-    """
-    a1 = mat_apply(GAMMA1, d.components)
-    a2 = mat_apply(GAMMA2, d.components)
-    return DualSpinor((
         alpha[0] * a1[0] + alpha[1] * a2[0],
         alpha[0] * a1[1] + alpha[1] * a2[1],
     ))

@@ -121,10 +121,6 @@ class _FieldBase:
     def plus(self, other, coeff: float = 1.0):
         return self.zip(other, lambda a, b: a + b.scale(coeff))
 
-    def dualized(self, delta) -> "_FieldBase":
-        """Seed ``self + eps * delta`` componentwise."""
-        return self.zip(delta, GridScalar.dual)
-
     def max_abs(self) -> float:
         return max((f.max_abs() for f in _walk(self.comps)), default=0.0)
 
@@ -300,10 +296,6 @@ def spinor_omega(s, t) -> GridScalar:
     return s[0] * t[1] - s[1] * t[0]
 
 
-def spinor_metric(s, t) -> GridScalar:
-    return s[0] * t[0] + s[1] * t[1]
-
-
 def torsion_from_gravitino(chi: GravitinoField, e: FrameField):
     """Torsion one-form generated by an odd gravitino.
 
@@ -326,7 +318,7 @@ def classical_torsion_recovery(chi: GravitinoField, e: FrameField):
     zeros = np.zeros(grid.shape)
 
     def body(f: GridScalar) -> np.ndarray:
-        if set(f.coeffs) - {0} or f.var:
+        if set(f.coeffs) - {0}:
             raise ParityMismatch("classical recovery expects commuting data")
         return f.coeffs.get(0, zeros)
 
@@ -366,7 +358,7 @@ def factorize_torsion(A, e: FrameField) -> GravitinoField:
     frame_vals = []
     for k in range(2):
         comp = sum_fields(e.comps[k][mu] * A[mu] for mu in range(2))
-        if set(comp.coeffs) - {0} or comp.var:
+        if set(comp.coeffs) - {0}:
             raise ParityMismatch("classical factorization expects real torsion data")
         frame_vals.append(comp.coeffs.get(0, np.zeros(grid.shape)))
     a = frame_vals[0] - 1j * frame_vals[1]
@@ -411,7 +403,6 @@ def holomorphy_residual(s: SpinorField, e: FrameField, A=None) -> float:
     for k in range(2):
         for a in range(2):
             resid = vals[k][a] - half[k][a]
-            for bank in (resid.coeffs, resid.var):
-                for arr in bank.values():
-                    total += float(np.sum(arr * arr)) * vol
+            for arr in resid.coeffs.values():
+                total += float(np.sum(arr * arr)) * vol
     return float(np.sqrt(total))

@@ -20,7 +20,7 @@ Pairing conventions (fixed once, certified by the suites):
 
 The gravitino enters the full action through its spin-3/2 part only; the
 spin-1/2 shift direction is therefore a gauge direction of every term here,
-which is the super-Weyl story of the :mod:`symmetry` module.
+which is the super-Weyl invariance of the action.
 """
 
 from __future__ import annotations
@@ -257,7 +257,8 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
 
     A = A if A is not None else torsion_zero(e.grid)
     f12 = curvature_of_torsion(A)
-    fsq_density = f12 * f12 * e.density.inv() * e.density.inv()
+    rho_inv = e.density.inv()
+    fsq_density = f12 * f12 * rho_inv * rho_inv
     zero = _zero_like(e, gens)
     return ActionBreakdown(
         harmonic=_integrate(harmonic_density(phi, e), e, gens),
@@ -294,4 +295,4 @@ def _zero_like(e: FrameField, gens: int):
 
 
 def _frame_is_dual(e: FrameField) -> bool:
-    return any(c.var for row in e.comps for c in row)
+    return any(c.has_eps() for row in e.comps for c in row)

@@ -84,7 +84,7 @@ class FrameField:
         if "coframe" not in self._cache:
             e = self.comps
             try:
-                dinv = self._det.inv()
+                dinv = self.density
             except NoBody as exc:  # pragma: no cover - guarded by __init__
                 raise SingularSolve(str(exc)) from exc
             # ehat = (E^T)^{-1} so that ehat^k_mu e_l^mu = delta^k_l
@@ -135,11 +135,6 @@ def sum_fields(fields):
     for f in fields[1:]:
         acc = acc + f
     return acc
-
-
-def coframe_metric_volume(e: FrameField):
-    """Convenience bundle of the derived zweibein data."""
-    return e.coframe, e.metric, e.density
 
 
 def levi_civita_form(e: FrameField):
@@ -256,10 +251,6 @@ def gradient(phi: GridScalar, e: FrameField):
     dphi = [phi.partial(0), phi.partial(1)]
     return [sum_fields(g_inv[mu][nu] * dphi[nu] for nu in range(2))
             for mu in range(2)]
-
-
-def partial_derivative(f: GridScalar, mu: int) -> GridScalar:
-    return f.partial(mu)
 
 
 def laplacian(phi: GridScalar, e: FrameField) -> GridScalar:

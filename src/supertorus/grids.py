@@ -1,12 +1,15 @@
 """Periodic-grid calculus for Grassmann-valued scalar fields.
 
 A :class:`GridScalar` is a scalar field on a two-torus whose value at every
-grid point lies in the exterior algebra of :mod:`grassmann`, stored as one
-real array per generator monomial, plus an optional second bank of arrays
-carrying the coefficient of an even deformation parameter ``eps`` with
-``eps**2 = 0``.  All field algebra (products with graded signs, nilpotent
-inversion, the Leibniz rule in the ``eps`` slot) and all derivative engines
-act monomial-wise on these arrays.
+grid point lies in the exterior algebra of :mod:`grassmann`, extended by an
+even deformation parameter ``eps`` with ``eps**2 = 0``.  The field is stored
+as one real array per monomial.  A monomial is a bitmask: bits 0-15 are the
+odd generators and bit 16 (:data:`EPS`) is ``eps``, so the coefficient of
+``eps * m`` sits under the key ``m | EPS``.  Because ``eps`` is even and
+nilpotent, the ordinary graded product (skip overlapping masks, take the sign
+of the odd generators only) is also the Leibniz rule of the first variation.
+All field algebra and all derivative engines act monomial-wise on these
+arrays.
 
 Derivative engines
 ------------------
@@ -38,7 +41,11 @@ from numbers import Number
 
 import numpy as np
 
-from .grassmann import DualScalar, GrassmannElement, NoBody, mul_sign, parity_of
+from .grassmann import (DualScalar, GeneratorMismatch, GrassmannElement, NoBody,
+                        mul_sign, parity_of)
+
+# ``GrassmannElement`` caps the generator count at 16, so bit 16 is free
+EPS = 1 << 16
 
 
 class ShapeMismatch(ValueError):
@@ -189,6 +196,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _clean_bank(bank, shape) -> dict[int, np.ndarray]:
     out = {}
     for mask, arr in bank.items():
+        if not 0 <= mask < 2 * EPS:
+            raise GeneratorMismatch(
+                f"monomial {mask:#x} uses bits beyond the generators and eps")
         arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != shape:
             raise ShapeMismatch(f"array shape {arr.shape} != grid {shape}")
@@ -198,22 +208,23 @@ def _clean_bank(bank, shape) -> dict[int, np.ndarray]:
 
 
 class GridScalar:
-    """Grassmann-valued scalar field with an exact first-variation slot."""
+    """Grassmann-valued scalar field with an exact first-variation slot.
 
-    __slots__ = ("grid", "phases", "coeffs", "var", "profiles")
+    ``coeffs`` maps monomial masks to frozen arrays; keys carrying the
+    :data:`EPS` bit hold the first variation.
+    """
 
-    def __init__(self, grid: TorusGrid, coeffs=None, var=None,
+    __slots__ = ("grid", "phases", "coeffs", "profiles")
+
+    def __init__(self, grid: TorusGrid, coeffs=None,
                  phases: tuple[int, int] = (0, 0), profiles=None):
         self.grid = grid
         self.phases = phases
         self.coeffs = _clean_bank(coeffs or {}, grid.shape)
-        self.var = _clean_bank(var or {}, grid.shape)
-        if not self.coeffs and not self.var:
+        if not self.coeffs:
             profiles = (np.zeros(grid.shape[0]), np.zeros(grid.shape[1]))
         elif profiles is None:
-            profiles = _measure_profiles(
-                list(self.coeffs.values()) + list(self.var.values()),
-                grid.shape, phases)
+            profiles = _measure_profiles(self.coeffs.values(), grid.shape, phases)
         self.profiles = (np.asarray(profiles[0]), np.asarray(profiles[1]))
 
     # -- constructors ------------------------------------------------------
@@ -232,17 +243,19 @@ class GridScalar:
         elif isinstance(value, GrassmannElement):
             value = DualScalar(value)
         coeffs = {m: float(c) * ones for m, c in value.value.coeffs.items()}
-        var = {m: float(c) * ones for m, c in value.variation.coeffs.items()}
-        return cls(grid, coeffs, var=var)
+        coeffs.update({m | EPS: float(c) * ones
+                       for m, c in value.variation.coeffs.items()})
+        return cls(grid, coeffs)
 
     @classmethod
     def dual(cls, value: "GridScalar", variation: "GridScalar") -> "GridScalar":
         """Seed ``value + eps * variation`` from two variation-free fields."""
-        if value.var or variation.var:
+        if value.has_eps() or variation.has_eps():
             raise ValueError("dual seed expects variation-free inputs")
         value._check_compatible(variation)
-        return cls(value.grid, value.coeffs, var=variation.coeffs,
-                   phases=value.phases,
+        coeffs = dict(value.coeffs)
+        coeffs.update({m | EPS: a for m, a in variation.coeffs.items()})
+        return cls(value.grid, coeffs, phases=value.phases,
                    profiles=(value.profiles[0] + variation.profiles[0],
                              value.profiles[1] + variation.profiles[1]))
 
@@ -256,19 +269,22 @@ class GridScalar:
                 f"boundary phases differ: {self.phases} vs {other.phases}")
 
     def is_zero(self) -> bool:
-        return not self.coeffs and not self.var
+        return not self.coeffs
+
+    def has_eps(self) -> bool:
+        """Whether the field carries a nonzero first variation."""
+        return any(m & EPS for m in self.coeffs)
 
     @property
     def parity(self) -> int | None:
-        masks = set(self.coeffs) | set(self.var)
-        if not masks:
+        if not self.coeffs:
             return 0
-        parities = {parity_of(m) for m in masks}
+        parities = {parity_of(m & ~EPS) for m in self.coeffs}
         return parities.pop() if len(parities) == 1 else None
 
     def max_abs(self) -> float:
-        banks = list(self.coeffs.values()) + list(self.var.values())
-        return max((float(np.max(np.abs(a))) for a in banks), default=0.0)
+        return max((float(np.max(np.abs(a))) for a in self.coeffs.values()),
+                   default=0.0)
 
     def remeasured(self) -> "GridScalar":
         """Copy with spectral mass profiles re-measured from the data.
@@ -276,25 +292,16 @@ class GridScalar:
         Useful after cancellations, where the algebraic profile bound can
         grossly overestimate the surviving content.
         """
-        return GridScalar(self.grid, self.coeffs, var=self.var,
-                          phases=self.phases)
-
-    def value_part(self) -> "GridScalar":
-        return GridScalar(self.grid, self.coeffs, phases=self.phases,
-                          profiles=self.profiles)
-
-    def variation_part(self) -> "GridScalar":
-        return GridScalar(self.grid, self.var, phases=self.phases,
-                          profiles=self.profiles)
+        return GridScalar(self.grid, self.coeffs, phases=self.phases)
 
     # -- linear structure ------------------------------------------------------
 
     @staticmethod
-    def _bank_add(a, b, sign=1.0):
+    def _bank_add(a, b):
         out = dict(a)
         for m, arr in b.items():
             cur = out.get(m)
-            out[m] = sign * arr if cur is None else cur + sign * arr
+            out[m] = arr if cur is None else cur + arr
         return out
 
     def __add__(self, other):
@@ -305,7 +312,6 @@ class GridScalar:
         return GridScalar(
             self.grid,
             self._bank_add(self.coeffs, other.coeffs),
-            var=self._bank_add(self.var, other.var),
             phases=self.phases,
             profiles=(self.profiles[0] + other.profiles[0],
                       self.profiles[1] + other.profiles[1]))
@@ -315,7 +321,6 @@ class GridScalar:
     def __neg__(self):
         return GridScalar(self.grid,
                           {m: -a for m, a in self.coeffs.items()},
-                          var={m: -a for m, a in self.var.items()},
                           phases=self.phases, profiles=self.profiles)
 
     def __sub__(self, other):
@@ -333,7 +338,6 @@ class GridScalar:
             return GridScalar.zeros(self.grid, self.phases)
         return GridScalar(self.grid,
                           {m: c * a for m, a in self.coeffs.items()},
-                          var={m: c * a for m, a in self.var.items()},
                           phases=self.phases,
                           profiles=(abs(c) * self.profiles[0],
                                     abs(c) * self.profiles[1]))
@@ -356,7 +360,9 @@ class GridScalar:
                     continue
                 mask = ma | mb
                 term = aa * ab
-                if mul_sign(ma, mb) < 0:
+                # eps is even and never contributes a sign; left in ``ma``
+                # it would count every generator of ``mb`` as a swap
+                if mul_sign(ma & ~EPS, mb) < 0:
                     term = -term
                 cur = out.get(mask)
                 out[mask] = term if cur is None else cur + term
@@ -381,19 +387,18 @@ class GridScalar:
                     f"product pushes {wrapped:.3e} of {total:.3e} spectral mass "
                     f"past Nyquist along axis {axis}")
             profiles.append(folded)
-        value = self._bank_mul(self.coeffs, other.coeffs)
-        var = self._bank_add(self._bank_mul(self.coeffs, other.var),
-                             self._bank_mul(self.var, other.coeffs))
         phases = ((self.phases[0] + other.phases[0]) % 2,
                   (self.phases[1] + other.phases[1]) % 2)
-        return GridScalar(self.grid, value, var=var, phases=phases,
-                          profiles=tuple(profiles))
+        return GridScalar(self.grid, self._bank_mul(self.coeffs, other.coeffs),
+                          phases=phases, profiles=tuple(profiles))
 
     def _check_same_grid_for_mul(self, other):
         if self.grid != other.grid:
             raise ShapeMismatch("fields live on different grids")
 
     def __rmul__(self, other):
+        if isinstance(other, Number):
+            return self.scale(other)
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -429,13 +434,16 @@ class GridScalar:
         return acc
 
     def exp(self) -> "GridScalar":
-        """Exponential of a body-only field (the Weyl factors)."""
-        extra = [m for m in self.coeffs if m != 0]
-        if extra:
+        """Exponential of a field whose value is body-only (the Weyl factors).
+
+        The variation may be any field: ``exp(u + eps du) = exp(u) (1 + eps du)``.
+        """
+        if any(m and not m & EPS for m in self.coeffs):
             raise ValueError("exp is only supported for body-only fields")
         base = np.exp(self.coeffs.get(0, np.zeros(self.grid.shape)))
-        out_var = {m: base * arr for m, arr in self.var.items()}
-        return GridScalar(self.grid, {0: base}, var=out_var, phases=self.phases)
+        out = {0: base}
+        out.update({m: base * arr for m, arr in self.coeffs.items() if m & EPS})
+        return GridScalar(self.grid, out, phases=self.phases)
 
     # -- calculus ------------------------------------------------------------------
 
@@ -450,12 +458,11 @@ class GridScalar:
             order = 2 if grid.mode == "fd2" else 4
             engine = lambda arr: _fd_partial(arr, axis, period, phase, order)
         value = {m: engine(a) for m, a in self.coeffs.items()}
-        var = {m: engine(a) for m, a in self.var.items()}
         n = grid.shape[axis]
         ks = np.abs(np.arange(n) - n // 2 + (0.5 if phase else 0.0))
         dprof = list(self.profiles)
         dprof[axis] = self.profiles[axis] * (2 * np.pi / period) * ks
-        return GridScalar(grid, value, var=var, phases=self.phases,
+        return GridScalar(grid, value, phases=self.phases,
                           profiles=tuple(dprof))
 
     def integral(self, gens: int = 8):
@@ -466,22 +473,17 @@ class GridScalar:
         summation keeps the reduction deterministic for a fixed shape.
         """
         vol = self.grid.cell_volume
+        sums = {m: float(a.sum()) * vol for m, a in self.coeffs.items()}
         value = GrassmannElement(
-            gens, {m: float(a.sum()) * vol for m, a in self.coeffs.items()})
-        if not self.var:
+            gens, {m: c for m, c in sums.items() if not m & EPS})
+        if not self.has_eps():
             return value
-        var = GrassmannElement(
-            gens, {m: float(a.sum()) * vol for m, a in self.var.items()})
-        return DualScalar(value, var)
+        variation = GrassmannElement(
+            gens, {m & ~EPS: c for m, c in sums.items() if m & EPS})
+        return DualScalar(value, variation)
 
     # -- misc --------------------------------------------------------------------
 
-    def restrict_even(self, where: str = "") -> "GridScalar":
-        if self.parity != 0:
-            raise ValueError(f"expected an even field {where}")
-        return self
-
     def __repr__(self):
         return (f"GridScalar(shape={self.grid.shape}, monomials="
-                f"{sorted(self.coeffs)}, var={sorted(self.var)}, "
-                f"phases={self.phases})")
+                f"{sorted(self.coeffs)}, phases={self.phases})")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from supertorus.grassmann import DualScalar, GrassmannElement, NoBody
-from supertorus.grids import AliasingDetected, GridScalar, ShapeMismatch, TorusGrid
+from supertorus.grassmann import (DualScalar, GeneratorMismatch, GrassmannElement,
+                                  NoBody, random_element)
+from supertorus.grids import EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -42,8 +43,8 @@ def test_partial_both_slots_and_masks():
     g = grid32()
     f = GridScalar.dual(wave(g, (1, 0), mask=0b1), wave(g, (0, 2), mask=0b10))
     df = f.partial(1)
-    assert set(df.coeffs) == set()  # d/dx2 of an x1-only wave vanishes
-    assert 0b10 in df.var
+    # d/dx2 of the x1-only value wave vanishes; the variation wave survives
+    assert set(df.coeffs) == {0b10 | EPS}
 
 
 def test_antiperiodic_spectral_derivative():
@@ -85,7 +86,30 @@ def test_dual_product_rule_on_grid():
     prod = a * b
     expected = (wave(g, (1, 0)) * wave(g, (0, 2))
                 + wave(g, (2, 0)) * wave(g, (0, 1)))
-    assert np.max(np.abs(prod.var[0] - expected.coeffs[0])) <= 1e-14
+    assert np.max(np.abs(prod.coeffs[EPS] - expected.coeffs[0])) <= 1e-14
+
+
+def test_dual_constant_product_matches_dual_scalars():
+    g = TorusGrid((8, 8), periods=(2.0, 3.0))
+    area = 6.0
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        pa, pb = trial % 2, (trial // 2) % 2
+        a, b = (DualScalar(random_element(rng, 8, parity=p),
+                           random_element(rng, 8, parity=p))
+                for p in (pa, pb))
+        got = DualScalar.lift(
+            (GridScalar.constant(g, a) * GridScalar.constant(g, b)).integral(8))
+        assert (got - (a * b) * area).max_abs() <= 1e-12, (pa, pb)
+
+
+def test_masks_beyond_eps_rejected():
+    g = grid32()
+    ones = np.ones(g.shape)
+    GridScalar(g, {(2 * EPS) - 1: ones})
+    for mask in (2 * EPS, -1):
+        with pytest.raises(GeneratorMismatch):
+            GridScalar(g, {mask: ones})
 
 
 def test_mixed_phase_product_becomes_periodic():
