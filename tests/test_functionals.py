@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from supertorus.fields import ModeSpec, make_trig_field
-from supertorus.functionals import super_action
+from supertorus.clifford import MajoranaSpinor, theta_insert
+from supertorus.fields import ModeSpec, frame_values_to_form, make_trig_field
+from supertorus.functionals import (
+    coupling_mixed,
+    coupling_quartic,
+    coupling_ruled_out,
+    dirac_action,
+    super_action,
+)
 from supertorus.geometry import FrameField
 from supertorus.grassmann import DualScalar
 from supertorus.grids import GridScalar, TorusGrid
@@ -61,3 +68,87 @@ def test_super_action_value_slot_ignores_the_variation(action_inputs):
     dual = _total(grid, phi, psi, chi, GridScalar.dual(u, du))
     plain = _total(grid, phi, psi, chi, u)
     assert dual.value == plain
+
+
+def _theta_shift(chi, s, e):
+    """``chi + theta(s)``: the spin-1/2 insertion of ``s`` through the frame."""
+    form = theta_insert(MajoranaSpinor(tuple(s.comps))).components
+    theta = frame_values_to_form(
+        [[form[a][k] for a in range(2)] for k in range(2)], e)
+    return chi.plus(theta)
+
+
+def _shift_spinor(grid, rng):
+    return make_trig_field("varspinor", [
+        ModeSpec("varspinor", (a,), (0, 0), float(rng.uniform(-1, 1)), g)
+        for a in range(2) for g in (6, 7)], grid)
+
+
+def _constant_odd_fields(grid, rng):
+    """Constant odd spinor and gravitino with every slot on every generator
+    of its block, amplitudes drawn from ``rng``."""
+    psi = make_trig_field("spinor", [
+        ModeSpec("spinor", (k, a), (0, 0), float(rng.uniform(-1, 1)), g)
+        for k in range(2) for a in range(2) for g in (0, 1, 2)], grid)
+    chi = make_trig_field("gravitino", [
+        ModeSpec("gravitino", (a, mu), (0, 0), float(rng.uniform(-1, 1)), g)
+        for a in range(2) for mu in range(2) for g in (3, 4, 5)], grid)
+    return psi, chi
+
+
+def _frames(grid):
+    u = make_trig_field("map", [ModeSpec("map", (0,), (1, 1), 0.1)], grid, dim=1)
+    return {"flat": FrameField.flat(grid),
+            "conformal": FrameField.conformal(grid, u.comps[0])}
+
+
+def test_mixed_coupling_is_super_weyl_invariant(action_inputs):
+    grid, phi, psi, chi, u, _ = action_inputs
+    e = FrameField.conformal(grid, u)
+    s = _shift_spinor(grid, np.random.default_rng(1))
+    before = coupling_mixed(chi, phi, psi, e)
+    after = coupling_mixed(_theta_shift(chi, s, e), phi, psi, e)
+    assert before.max_abs() > 1e-2
+    assert (after - before).max_abs() <= 1e-13
+
+
+@pytest.mark.parametrize("frame", ["flat", "conformal"])
+def test_quartic_coupling_is_super_weyl_invariant(frame):
+    grid = TorusGrid((32, 32))
+    e = _frames(grid)[frame]
+    rng = np.random.default_rng(2)
+    psi, chi = _constant_odd_fields(grid, rng)
+    s = _shift_spinor(grid, rng)
+    phi = make_trig_field("map", [], grid)
+    before, after = (super_action(phi, psi, c, e).quartic_coupling
+                     for c in (chi, _theta_shift(chi, s, e)))
+    assert before.max_abs() > 0.1
+    assert (after - before).max_abs() <= 1e-13
+
+
+def test_dirac_action_ignores_torsion(action_inputs):
+    grid, _, psi, _, u, _ = action_inputs
+    e = FrameField.conformal(grid, u)
+    A = make_trig_field("torsion", [
+        ModeSpec("torsion", (0,), (0, 0), 0.7),
+        ModeSpec("torsion", (0,), (1, 0), 0.3),
+        ModeSpec("torsion", (1,), (-1, 1), -0.4)], grid)
+    plain = dirac_action(psi, e)
+    assert plain.max_abs() > 1e-3
+    assert (dirac_action(psi, e, A) - plain).max_abs() <= 1e-14
+
+
+@pytest.mark.parametrize("frame", ["flat", "conformal"])
+@pytest.mark.parametrize("seed", range(4))
+def test_ruled_out_term_is_minus_half_the_quartic_invariant(frame, seed):
+    grid = TorusGrid((32, 32))
+    e = _frames(grid)[frame]
+    rng = np.random.default_rng(seed)
+    psi, chi = _constant_odd_fields(grid, rng)
+    s = _shift_spinor(grid, rng)
+    quartic = coupling_quartic(chi, psi, e)
+    ruled_out = coupling_ruled_out(chi, psi, e)
+    assert quartic.max_abs() > 0.1
+    assert (ruled_out + quartic * 0.5).max_abs() <= 1e-12
+    shifted = coupling_ruled_out(_theta_shift(chi, s, e), psi, e)
+    assert (shifted - ruled_out).max_abs() <= 1e-13
