@@ -14,9 +14,15 @@ in rational mode):
   sign convention the Dirac-pairing suite certifies.
 
 Component rings are generic: plain numbers, ``Fraction``, ``complex``,
-``GrassmannElement``/``DualScalar``, or the grid scalars of :mod:`grids`.
-All scalar factors of 1/2 are applied as ``Fraction(1, 2)`` so exact rings
-stay exact.
+``GrassmannElement``/``DualScalar``, the grid scalars of :mod:`grids`, or
+bare numpy arrays.  This module is the single place where a gamma matrix
+touches a component: the field, geometry and functional layers reach the
+Clifford action, the spin-1/2 projection and the spinor pairings only
+through the functions here.  :func:`mat_apply` skips zero matrix entries and
+passes the component of a unit entry through unchanged, so grid fields pay
+for no zero-scaled or copied arrays; a row without a nonzero entry is
+``0 * pair[0]``.  All scalar factors of 1/2 are applied as
+``Fraction(1, 2)`` so exact rings stay exact.
 """
 
 from __future__ import annotations
@@ -60,10 +66,16 @@ def check_uniform(*components) -> None:
 
 def mat_apply(m, pair):
     """Apply an integer 2x2 matrix to a component pair of any ring."""
-    return (
-        m[0][0] * pair[0] + m[0][1] * pair[1],
-        m[1][0] * pair[0] + m[1][1] * pair[1],
-    )
+    out = []
+    for row in m:
+        acc = None
+        for c, x in zip(row, pair):
+            if c == 0:
+                continue
+            term = x if c == 1 else c * x
+            acc = term if acc is None else acc + term
+        out.append(0 * pair[0] if acc is None else acc)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -125,10 +137,11 @@ def quantize(z: SpinorForm) -> MajoranaSpinor:
 
 def theta_insert(s: MajoranaSpinor) -> SpinorForm:
     """Right inverse of ``quantize``: insert a spinor as a spin-1/2 one-form."""
-    cols = [mat_apply(gamma, s.components) for gamma in GAMMAS]
+    half = tuple(c * HALF for c in s.components)
+    cols = [mat_apply(gamma, half) for gamma in GAMMAS]
     return SpinorForm((
-        (cols[0][0] * HALF, cols[1][0] * HALF),
-        (cols[0][1] * HALF, cols[1][1] * HALF),
+        (cols[0][0], cols[1][0]),
+        (cols[0][1], cols[1][1]),
     ))
 
 

@@ -12,6 +12,11 @@ Component conventions
   *coordinate* one-form index ``mu``; frame evaluations ``chi(e_k)`` go
   through the zweibein.
 
+Gravitino frame values ``vals[k][a]`` (spinor component ``a`` of
+``chi(e_k)``) meet gamma matrices only through :mod:`clifford`:
+:func:`quantize_frame_values` and :func:`spin32_frame_values`, the one
+q-split, are its ``quantize`` and ``theta_insert`` in that layout.
+
 Odd fields draw their generators from disjoint blocks so that no monomial of
 the functionals can collide: twisted spinors use generators 0-2, gravitinos
 3-5, variational spinors 6-7 (with the default budget of 8).
@@ -29,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import GAMMAS
+from .clifford import MajoranaSpinor, SpinorForm, quantize, spinor_pair, theta_insert
 from .geometry import FrameField, spin_cov_deriv, sum_fields
-from .grassmann import GrassmannElement
 from .grids import GridScalar, ShapeMismatch, TorusGrid
 
 GENERATOR_BLOCKS = {
@@ -249,9 +253,7 @@ def gravitino_split(chi: GravitinoField, e: FrameField):
     """Pointwise spin-1/2 / spin-3/2 decomposition of a gravitino."""
     vals = gravitino_frame_values(chi, e)
     s = quantize_frame_values(vals)
-    half = theta_frame_values(s)
-    g_vals = [[vals[k][a] - half[k][a] for a in range(2)] for k in range(2)]
-    return SpinorField(s), frame_values_to_form(g_vals, e)
+    return SpinorField(s), frame_values_to_form(spin32_frame_values(vals, s), e)
 
 
 def q_part(chi: GravitinoField, e: FrameField) -> GravitinoField:
@@ -260,40 +262,21 @@ def q_part(chi: GravitinoField, e: FrameField) -> GravitinoField:
 
 
 def quantize_frame_values(vals):
-    """``gamma^k chi(e_k)`` on frame-indexed spinor values."""
-    out = [None, None]
-    for k, gamma in enumerate(GAMMAS):
-        for a in range(2):
-            acc = None
-            for b in range(2):
-                if gamma[a][b] == 0:
-                    continue
-                term = vals[k][b].scale(gamma[a][b])
-                acc = term if acc is None else acc + term
-            out[a] = acc if out[a] is None else out[a] + acc
-    return out
+    """``gamma^k chi(e_k)`` on frame-indexed spinor values ``vals[k][a]``."""
+    form = SpinorForm(tuple((vals[0][a], vals[1][a]) for a in range(2)))
+    return list(quantize(form).components)
 
 
-def theta_frame_values(s):
-    """Frame values of ``theta_insert(s)``: ``vals[k][a] = (gamma^k s)_a / 2``."""
-    out = []
-    for gamma in GAMMAS:
-        pair = []
-        for a in range(2):
-            acc = None
-            for b in range(2):
-                if gamma[a][b] == 0:
-                    continue
-                term = s[b].scale(0.5 * gamma[a][b])
-                acc = term if acc is None else acc + term
-            pair.append(acc)
-        out.append(pair)
-    return out
+def spin32_frame_values(vals, s):
+    """Frame values of the spin-3/2 part ``chi - theta(s)``, where
+    ``s = quantize_frame_values(vals)`` is the spin-1/2 part of ``chi``."""
+    half = theta_insert(MajoranaSpinor(tuple(s))).components
+    return [[vals[k][a] - half[a][k] for a in range(2)] for k in range(2)]
 
 
-def spinor_omega(s, t) -> GridScalar:
+def spinor_omega(s, t):
     """Symplectic spinor pairing on component pairs, first argument left."""
-    return s[0] * t[1] - s[1] * t[0]
+    return spinor_pair("symplectic", MajoranaSpinor(tuple(s)), MajoranaSpinor(tuple(t)))
 
 
 def torsion_from_gravitino(chi: GravitinoField, e: FrameField):
@@ -304,7 +287,12 @@ def torsion_from_gravitino(chi: GravitinoField, e: FrameField):
     """
     if chi.parity != 1 and not chi.all_zero():
         raise ParityMismatch("torsion extraction expects an odd gravitino")
-    return _gravitino_torsion(chi, e, spinor_omega)
+    vals = gravitino_frame_values(chi, e)
+    q = quantize_frame_values(vals)
+    frame_comps = [spinor_omega(q, vals[k]) for k in range(2)]
+    ehat = e.coframe
+    return [sum_fields(ehat[k][mu] * frame_comps[k] for k in range(2))
+            for mu in range(2)]
 
 
 def classical_torsion_recovery(chi: GravitinoField, e: FrameField):
@@ -327,20 +315,11 @@ def classical_torsion_recovery(chi: GravitinoField, e: FrameField):
     chi_arr = [[body(chi.comps[a][mu]) for mu in range(2)] for a in range(2)]
     vals = [[sum(e_arr[k][mu] * chi_arr[a][mu] for mu in range(2))
              for a in range(2)] for k in range(2)]
-    qs = [sum(GAMMAS[k][a][b] * vals[k][b] for k in range(2) for b in range(2))
-          for a in range(2)]
-    frame_comps = [qs[0] * vals[k][0] + qs[1] * vals[k][1] for k in range(2)]
+    qs = MajoranaSpinor(tuple(quantize_frame_values(vals)))
+    frame_comps = [spinor_pair("metric", qs, MajoranaSpinor(tuple(vals[k])))
+                   for k in range(2)]
     return [GridScalar(grid, {0: sum(ehat_arr[k][mu] * frame_comps[k]
                                      for k in range(2))})
-            for mu in range(2)]
-
-
-def _gravitino_torsion(chi, e, pairing):
-    vals = gravitino_frame_values(chi, e)
-    q = quantize_frame_values(vals)
-    frame_comps = [pairing(q, vals[k]) for k in range(2)]
-    ehat = e.coframe
-    return [sum_fields(ehat[k][mu] * frame_comps[k] for k in range(2))
             for mu in range(2)]
 
 
@@ -396,13 +375,11 @@ def holomorphy_residual(s: SpinorField, e: FrameField, A=None) -> float:
     z = spin_cov_deriv(s.comps, e, A)
     # frame equals coordinates in the flat gauge this check is defined in
     vals = [[z[a][k] for a in range(2)] for k in range(2)]
-    s_q = quantize_frame_values(vals)
-    half = theta_frame_values(s_q)
+    resid = spin32_frame_values(vals, quantize_frame_values(vals))
     total = 0.0
     vol = e.grid.cell_volume
     for k in range(2):
         for a in range(2):
-            resid = vals[k][a] - half[k][a]
-            for arr in resid.coeffs.values():
+            for arr in resid[k][a].coeffs.values():
                 total += float(np.sum(arr * arr)) * vol
     return float(np.sqrt(total))

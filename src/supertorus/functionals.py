@@ -27,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 
-import numpy as np
-
-from .clifford import GAMMAS
+from .clifford import GAMMAS, MajoranaSpinor, mat_apply, symplectic_dual
 from .fields import (
     GravitinoField,
     MapField,
@@ -37,8 +35,8 @@ from .fields import (
     TwistedSpinorField,
     gravitino_frame_values,
     quantize_frame_values,
+    spin32_frame_values,
     spinor_omega,
-    theta_frame_values,
 )
 from .geometry import FrameField, dirac_apply, sum_fields
 from .grassmann import DualScalar, GrassmannElement
@@ -49,8 +47,6 @@ GAMMA_PRODUCTS = tuple(tuple(
     tuple(tuple(sum(gj[r][m] * gi[m][c] for m in range(2)) for c in range(2))
           for r in range(2))
     for gi in GAMMAS) for gj in GAMMAS)
-
-TARGET_AREA_FORM = ((0, 1), (-1, 0))
 
 
 @dataclass
@@ -116,16 +112,11 @@ def pairing_E(z: TwistedSpinorField, w: TwistedSpinorField) -> GridScalar:
 
 
 def pairing_E_symplectic_density(z, w) -> GridScalar:
-    """Fiber pairing with the target area form instead of the target metric."""
+    """Fiber pairing with the target area form instead of the target metric;
+    the area form has the matrix of ``omega``, which contracts the targets."""
     if len(z[0]) != 2 or len(w[0]) != 2:
         raise ShapeMismatch("symplectic targets are two-dimensional")
-    om = TARGET_AREA_FORM
-
-    def target_pair(u, v):
-        return sum_fields(u[a].scale(om[a][b]) * v[b]
-                          for a in range(2) for b in range(2) if om[a][b])
-
-    return (target_pair(z[0], w[1]) - target_pair(z[1], w[0]))
+    return spinor_omega(z[0], w[1]) - spinor_omega(z[1], w[0])
 
 
 def harmonic_density(phi: MapField, e: FrameField) -> GridScalar:
@@ -150,11 +141,8 @@ def dirac_action(psi: TwistedSpinorField, e: FrameField, A=None, gens: int = 8):
 def gravitino_q_pairing_density(chi: GravitinoField, e: FrameField) -> GridScalar:
     """``sum_i omega(chi(e_i), (q chi)(e_i))``, the quartic-term spinor factor."""
     vals = gravitino_frame_values(chi, e)
-    q = quantize_frame_values(vals)
-    half = theta_frame_values(q)
-    return sum_fields(
-        spinor_omega(vals[i], [vals[i][0] - half[i][0], vals[i][1] - half[i][1]])
-        for i in range(2))
+    qvals = spin32_frame_values(vals, quantize_frame_values(vals))
+    return sum_fields(spinor_omega(vals[i], qvals[i]) for i in range(2))
 
 
 def quartic_density(chi: GravitinoField, psi: TwistedSpinorField,
@@ -171,10 +159,7 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
     acc = None
     for i in range(2):
         for j in range(2):
-            mat = GAMMA_PRODUCTS[j][i]
-            rotated = [
-                sum_fields(vals[j][b].scale(mat[r][b]) for b in range(2) if mat[r][b])
-                for r in range(2)]
+            rotated = mat_apply(GAMMA_PRODUCTS[j][i], vals[j])
             term = spinor_omega(vals[i], rotated)
             acc = term if acc is None else acc + term
     return _integrate(acc * pairing_E_density(psi.comps, psi.comps), e, gens)
@@ -184,17 +169,14 @@ def mixed_density(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
                   e: FrameField) -> GridScalar:
     """``((q chi)(grad phi)~, psi)`` without the overall factor four."""
     vals = gravitino_frame_values(chi, e)
-    q = quantize_frame_values(vals)
-    half = theta_frame_values(q)
-    qvals = [[vals[i][a] - half[i][a] for a in range(2)] for i in range(2)]
+    qvals = spin32_frame_values(vals, quantize_frame_values(vals))
     dphi = map_frame_differential(phi, e)
     dim = phi.dim
     tilded = [[None] * dim for _ in range(2)]
     for a in range(dim):
-        x0 = sum_fields(qvals[k][0] * dphi[k][a] for k in range(2))
-        x1 = sum_fields(qvals[k][1] * dphi[k][a] for k in range(2))
-        tilded[0][a] = -1.0 * x1
-        tilded[1][a] = x0
+        contracted = MajoranaSpinor(tuple(
+            sum_fields(qvals[k][b] * dphi[k][a] for k in range(2)) for b in range(2)))
+        tilded[0][a], tilded[1][a] = symplectic_dual(contracted).components
     return pairing_E_density(tilded, psi.comps)
 
 
@@ -205,10 +187,12 @@ def coupling_mixed(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
 
 def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
                        e: FrameField, gens: int = 8):
-    """Crossed quadratic gravitino-spinor invariant.
+    """Crossed quadratic gravitino-spinor term
+    ``sum_aij omega(chi_i, gamma^j gamma^i psi^a) omega(psi^a, chi_j)``.
 
-    Conformally invariant but not super-Weyl invariant; kept as the witness
-    that the gravitino shift symmetry rejects it.
+    With this contraction the term equals ``-1/2 * coupling_quartic``, so it
+    is super-Weyl invariant and witnesses no rejection by the gravitino
+    shift; whether the paper's ruled-out term contracts otherwise is open.
     """
     vals = gravitino_frame_values(chi, e)
     dim = psi.dim
@@ -217,11 +201,7 @@ def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
         spinor_a = [psi.comps[0][a], psi.comps[1][a]]
         for i in range(2):
             for j in range(2):
-                mat = GAMMA_PRODUCTS[j][i]
-                rotated = [
-                    sum_fields(spinor_a[b].scale(mat[r][b])
-                               for b in range(2) if mat[r][b])
-                    for r in range(2)]
+                rotated = mat_apply(GAMMA_PRODUCTS[j][i], spinor_a)
                 term = spinor_omega(vals[i], rotated) * spinor_omega(spinor_a, vals[j])
                 acc = term if acc is None else acc + term
     return _integrate(acc, e, gens)

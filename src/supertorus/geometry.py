@@ -12,14 +12,17 @@ the solve goes through the generic field arithmetic, frames carrying an
 coframe, metric, volume and connection.
 
 Spinor-valued data is passed around as nested lists of :class:`GridScalar`
-components; the typed wrappers live in :mod:`fields`.
+components; the typed wrappers live in :mod:`fields`.  Gamma matrices act
+only through :mod:`clifford`, and :func:`spin_cov_deriv` is the one spin
+covariant derivative: :func:`dirac_apply` contracts its frame components
+with :func:`clifford.quantize`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .clifford import GAMMAS
+from .clifford import GAMMA12, SpinorForm, mat_apply, quantize
 from .grassmann import NoBody
 from .grids import GridScalar, ShapeMismatch, TorusGrid
 
@@ -30,11 +33,6 @@ class NonOrientedFrame(ValueError):
 
 class SingularSolve(ArithmeticError):
     """The pointwise structure-equation system degenerated."""
-
-
-def _gamma12_act(pair):
-    """Action of gamma^1 gamma^2 on a component pair (any module side)."""
-    return [pair[1], -1.0 * pair[0]]
 
 
 class FrameField:
@@ -185,7 +183,7 @@ def spin_cov_deriv(s, e: FrameField, A=None):
     """
     A = _check_torsion(A, e.grid)
     gamma = e.connection
-    rotated = _gamma12_act(s)
+    rotated = mat_apply(GAMMA12, s)
     out = [[None, None], [None, None]]
     for mu in range(2):
         coeff = (gamma[mu] + A[mu]).scale(0.5)
@@ -202,29 +200,15 @@ def dirac_apply(psi, e: FrameField, A=None):
     ones, so ``(D psi)[l][a] = gamma^j_{lm} e_j^mu nabla_mu psi[m][a]``.
     """
     A = _check_torsion(A, e.grid)
-    gamma = e.connection
     d = len(psi[0])
-    nabla = [[[None] * 2 for _ in range(d)] for _ in range(2)]
-    for a in range(d):
-        col = [psi[0][a], psi[1][a]]
-        rotated = _gamma12_act(col)
-        for mu in range(2):
-            coeff = (gamma[mu] + A[mu]).scale(0.5)
-            for k in range(2):
-                nabla[k][a][mu] = col[k].partial(mu) + coeff * rotated[k]
     out = [[None] * d for _ in range(2)]
     for a in range(d):
-        for l in range(2):
-            acc = None
-            for j, gmat in enumerate(GAMMAS):
-                for m in range(2):
-                    if gmat[l][m] == 0:
-                        continue
-                    contracted = sum_fields(
-                        e.comps[j][mu] * nabla[m][a][mu] for mu in range(2))
-                    term = contracted.scale(gmat[l][m])
-                    acc = term if acc is None else acc + term
-            out[l][a] = acc
+        nabla = spin_cov_deriv([psi[0][a], psi[1][a]], e, A)
+        z = SpinorForm(tuple(
+            tuple(sum_fields(e.comps[j][mu] * nabla[m][mu] for mu in range(2))
+                  for j in range(2))
+            for m in range(2)))
+        out[0][a], out[1][a] = quantize(z).components
     return out
 
 

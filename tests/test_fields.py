@@ -16,7 +16,6 @@ from supertorus.fields import (
     make_trig_field,
     q_part,
     torsion_from_gravitino,
-    zero_field,
 )
 from supertorus.geometry import FrameField
 from supertorus.grids import GridScalar, TorusGrid
