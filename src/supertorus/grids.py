@@ -374,7 +374,8 @@ class GridScalar:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_same_grid_for_mul(other)
+        if self.grid != other.grid:
+            raise ShapeMismatch("fields live on different grids")
         profiles = []
         for axis in range(2):
             folded, wrapped, total = _profile_conv(
@@ -391,10 +392,6 @@ class GridScalar:
                   (self.phases[1] + other.phases[1]) % 2)
         return GridScalar(self.grid, self._bank_mul(self.coeffs, other.coeffs),
                           phases=phases, profiles=tuple(profiles))
-
-    def _check_same_grid_for_mul(self, other):
-        if self.grid != other.grid:
-            raise ShapeMismatch("fields live on different grids")
 
     def __rmul__(self, other):
         if isinstance(other, Number):
@@ -415,23 +412,27 @@ class GridScalar:
     # -- nonlinear maps ----------------------------------------------------------
 
     def inv(self) -> "GridScalar":
-        """Pointwise inverse; needs an everywhere nonvanishing body."""
+        """Pointwise inverse; needs an everywhere nonvanishing body.
+
+        ``self = body * (1 + rest)`` with a nilpotent ``rest``: every factor
+        of ``rest`` adds a generator or ``eps`` bit, so the geometric series
+        ends by itself after at most one term per bit.
+        """
         if self.phases != (0, 0):
             raise ValueError("cannot invert a twisted field")
         body = self.coeffs.get(0)
         if body is None or np.min(np.abs(body)) < 1e-200:
             raise NoBody("field body vanishes somewhere; not invertible")
         binv = GridScalar(self.grid, {0: 1.0 / body})
-        rest = (self * binv - 1.0).remeasured()
-        acc = binv
-        term = binv
-        scale = max(binv.max_abs(), 1.0)
-        for _ in range(24):
+        unit = self * binv
+        # the soul of ``unit``, profiles measured from the data
+        rest = GridScalar(self.grid, {m: a for m, a in unit.coeffs.items() if m})
+        acc = term = binv
+        while True:
             term = -(term * rest)
-            if term.max_abs() <= 1e-30 * scale:
-                break
+            if term.is_zero():
+                return acc
             acc = acc + term
-        return acc
 
     def exp(self) -> "GridScalar":
         """Exponential of a field whose value is body-only (the Weyl factors).

@@ -137,6 +137,14 @@ def test_inverse_of_even_field():
     assert np.max(np.abs(prod.coeffs.get(0b11, np.zeros(g.shape)))) <= 1e-13
 
 
+def test_inverse_of_body_only_field_is_exact():
+    g = grid32()
+    body = 1.5 + wave(g, (1, 1), amp=0.3).coeffs[0]
+    finv = GridScalar(g, {0: body}).inv()
+    assert set(finv.coeffs) == {0}
+    assert np.array_equal(finv.coeffs[0], 1.0 / body)
+
+
 def test_inverse_requires_body():
     g = grid32()
     with pytest.raises(NoBody):
