@@ -42,6 +42,11 @@ GAMMAS = (GAMMA1, GAMMA2)
 GAMMA12 = ((0, 1), (-1, 0))
 # almost complex structure, -gamma^1 gamma^2
 ACI = ((0, -1), (1, 0))
+# gamma^j gamma^i products, indexed [j][i][row][col]
+GAMMA_PRODUCTS = tuple(tuple(
+    tuple(tuple(sum(gj[r][m] * gi[m][c] for m in range(2)) for c in range(2))
+          for r in range(2))
+    for gi in GAMMAS) for gj in GAMMAS)
 
 
 class RingMismatch(TypeError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 
-from .clifford import GAMMAS, MajoranaSpinor, mat_apply, symplectic_dual
+from .clifford import GAMMA_PRODUCTS, MajoranaSpinor, mat_apply, symplectic_dual
 from .fields import (
     GravitinoField,
     MapField,
@@ -41,12 +41,6 @@ from .fields import (
 from .geometry import FrameField, dirac_apply, sum_fields
 from .grassmann import DualScalar, GrassmannElement
 from .grids import GridScalar, ShapeMismatch
-
-# gamma^j gamma^i products, indexed [j][i][row][col]
-GAMMA_PRODUCTS = tuple(tuple(
-    tuple(tuple(sum(gj[r][m] * gi[m][c] for m in range(2)) for c in range(2))
-          for r in range(2))
-    for gi in GAMMAS) for gj in GAMMAS)
 
 
 @dataclass

@@ -286,14 +286,6 @@ class GridScalar:
         return max((float(np.max(np.abs(a))) for a in self.coeffs.values()),
                    default=0.0)
 
-    def remeasured(self) -> "GridScalar":
-        """Copy with spectral mass profiles re-measured from the data.
-
-        Useful after cancellations, where the algebraic profile bound can
-        grossly overestimate the surviving content.
-        """
-        return GridScalar(self.grid, self.coeffs, phases=self.phases)
-
     # -- linear structure ------------------------------------------------------
 
     @staticmethod
