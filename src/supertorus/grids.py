@@ -123,9 +123,9 @@ def _spectral_partial(arr: np.ndarray, axis: int, period: float, phase: int) -> 
         k_eff[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
     spec = np.fft.fft(work, axis=axis)
     spec *= (2j * np.pi / period) * k_eff.reshape(shape)
-    out = np.fft.ifft(spec, axis=axis)
+    out = np.fft.ifft(spec, axis=axis, out=spec)
     if phase:
-        out = out * np.conj(t)
+        out *= np.conj(t)
     return np.ascontiguousarray(out.real)
 
 
@@ -153,10 +153,13 @@ def _measure_profiles(arrays, shape, phases=(0, 0)) -> tuple[np.ndarray, np.ndar
     p0 = np.zeros(shape[0])
     p1 = np.zeros(shape[1])
     norm = 1.0 / (shape[0] * shape[1])
-    twist0 = _twist(shape[0]).reshape(-1, 1) if phases[0] else 1.0
-    twist1 = _twist(shape[1]).reshape(1, -1) if phases[1] else 1.0
     for arr in arrays:
-        mag = np.abs(np.fft.fft2(arr * twist0 * twist1)) * norm
+        if phases[0]:
+            arr = arr * _twist(shape[0]).reshape(-1, 1)
+        if phases[1]:
+            arr = arr * _twist(shape[1]).reshape(1, -1)
+        mag = np.abs(np.fft.fft2(arr))
+        mag *= norm
         p0 += np.fft.fftshift(mag.sum(axis=1))
         p1 += np.fft.fftshift(mag.sum(axis=0))
     # drop the round-off floor of the transform; it is far below anything
@@ -174,22 +177,34 @@ def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float, fl
     represents integer frequency ``i - n//2``.
     """
     n = pa.shape[0]
-    conv = np.convolve(pa, pb)
-    ks = np.arange(conv.shape[0]) - n
-    # the unpaired Nyquist bin itself is representable; only strictly
+    h = n // 2
+    conv = np.convolve(pa, pb)  # index i is frequency i - n
+    # the unpaired Nyquist bins -h and +h are representable; only strictly
     # beyond-Nyquist content folds onto foreign frequencies
-    in_band = np.abs(ks) <= n // 2
     total = float(conv.sum())
-    wrapped = float(conv[~in_band].sum())
-    folded = np.zeros(n)
-    idx = ((ks + n // 2) % n)
-    np.add.at(folded, idx, conv)
+    wrapped = float(conv[:h].sum() + conv[n + h + 1:].sum())
+    # frequency k lands on bin (k + h) mod n
+    folded = conv[h:n + h].copy()
+    folded[h:] += conv[:h]
+    folded[:h - 1] += conv[n + h:]
     return folded, wrapped, total
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.setflags(write=False)
+def _frozen(bank: dict) -> dict:
+    """Mark the arrays of a bank the algebra made itself read-only, in place."""
+    for arr in bank.values():
+        arr.flags.writeable = False
+    return bank
+
+
+def _owned(arr) -> np.ndarray:
+    """``arr`` if the algebra froze it (:func:`_frozen`), else a frozen copy,
+    so that a caller's array is never frozen or aliased."""
+    if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata
+            and arr.flags.c_contiguous and arr.dtype == np.float64):
+        return arr
+    arr = np.array(arr, dtype=np.float64, order="C")
+    arr.flags.writeable = False
     return arr
 
 
@@ -199,11 +214,11 @@ def _clean_bank(bank, shape) -> dict[int, np.ndarray]:
         if not 0 <= mask < 2 * EPS:
             raise GeneratorMismatch(
                 f"monomial {mask:#x} uses bits beyond the generators and eps")
-        arr = np.asarray(arr, dtype=np.float64)
+        arr = _owned(arr)
         if arr.shape != shape:
             raise ShapeMismatch(f"array shape {arr.shape} != grid {shape}")
-        if np.any(arr):
-            out[mask] = _freeze(arr)
+        if arr.any():
+            out[mask] = arr
     return out
 
 
@@ -245,7 +260,7 @@ class GridScalar:
         coeffs = {m: float(c) * ones for m, c in value.value.coeffs.items()}
         coeffs.update({m | EPS: float(c) * ones
                        for m, c in value.variation.coeffs.items()})
-        return cls(grid, coeffs)
+        return cls(grid, _frozen(coeffs))
 
     @classmethod
     def dual(cls, value: "GridScalar", variation: "GridScalar") -> "GridScalar":
@@ -288,38 +303,34 @@ class GridScalar:
 
     # -- linear structure ------------------------------------------------------
 
-    @staticmethod
-    def _bank_add(a, b):
-        out = dict(a)
-        for m, arr in b.items():
-            cur = out.get(m)
-            out[m] = arr if cur is None else cur + arr
-        return out
-
-    def __add__(self, other):
+    def _combine(self, other, subtract: bool):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         self._check_compatible(other)
-        return GridScalar(
-            self.grid,
-            self._bank_add(self.coeffs, other.coeffs),
-            phases=self.phases,
-            profiles=(self.profiles[0] + other.profiles[0],
-                      self.profiles[1] + other.profiles[1]))
+        out = dict(self.coeffs)
+        for m, arr in other.coeffs.items():
+            cur = out.get(m)
+            if cur is None:
+                out[m] = -arr if subtract else arr
+            else:
+                out[m] = cur - arr if subtract else cur + arr
+        return GridScalar(self.grid, _frozen(out), phases=self.phases,
+                          profiles=(self.profiles[0] + other.profiles[0],
+                                    self.profiles[1] + other.profiles[1]))
+
+    def __add__(self, other):
+        return self._combine(other, subtract=False)
 
     __radd__ = __add__
 
     def __neg__(self):
         return GridScalar(self.grid,
-                          {m: -a for m, a in self.coeffs.items()},
+                          _frozen({m: -a for m, a in self.coeffs.items()}),
                           phases=self.phases, profiles=self.profiles)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, subtract=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -329,7 +340,7 @@ class GridScalar:
         if c == 0.0:
             return GridScalar.zeros(self.grid, self.phases)
         return GridScalar(self.grid,
-                          {m: c * a for m, a in self.coeffs.items()},
+                          _frozen({m: c * a for m, a in self.coeffs.items()}),
                           phases=self.phases,
                           profiles=(abs(c) * self.profiles[0],
                                     abs(c) * self.profiles[1]))
@@ -346,19 +357,25 @@ class GridScalar:
     @staticmethod
     def _bank_mul(da, db):
         out: dict[int, np.ndarray] = {}
+        scratch = None
         for ma, aa in da.items():
             for mb, ab in db.items():
                 if ma & mb:
                     continue
                 mask = ma | mb
-                term = aa * ab
                 # eps is even and never contributes a sign; left in ``ma``
                 # it would count every generator of ``mb`` as a swap
-                if mul_sign(ma & ~EPS, mb) < 0:
-                    term = -term
+                negative = mul_sign(ma & ~EPS, mb) < 0
                 cur = out.get(mask)
-                out[mask] = term if cur is None else cur + term
-        return out
+                if cur is None:
+                    cur = out[mask] = aa * ab
+                    if negative:
+                        np.negative(cur, out=cur)
+                else:
+                    # accumulate into the array this product allocated
+                    scratch = np.multiply(aa, ab, out=scratch)
+                    (np.subtract if negative else np.add)(cur, scratch, out=cur)
+        return _frozen(out)
 
     def __mul__(self, other):
         if isinstance(other, Number):
@@ -415,7 +432,7 @@ class GridScalar:
         body = self.coeffs.get(0)
         if body is None or np.min(np.abs(body)) < 1e-200:
             raise NoBody("field body vanishes somewhere; not invertible")
-        binv = GridScalar(self.grid, {0: 1.0 / body})
+        binv = GridScalar(self.grid, _frozen({0: 1.0 / body}))
         unit = self * binv
         # the soul of ``unit``, profiles measured from the data
         rest = GridScalar(self.grid, {m: a for m, a in unit.coeffs.items() if m})
@@ -436,7 +453,7 @@ class GridScalar:
         base = np.exp(self.coeffs.get(0, np.zeros(self.grid.shape)))
         out = {0: base}
         out.update({m: base * arr for m, arr in self.coeffs.items() if m & EPS})
-        return GridScalar(self.grid, out, phases=self.phases)
+        return GridScalar(self.grid, _frozen(out), phases=self.phases)
 
     # -- calculus ------------------------------------------------------------------
 
@@ -450,7 +467,7 @@ class GridScalar:
         else:
             order = 2 if grid.mode == "fd2" else 4
             engine = lambda arr: _fd_partial(arr, axis, period, phase, order)
-        value = {m: engine(a) for m, a in self.coeffs.items()}
+        value = _frozen({m: engine(a) for m, a in self.coeffs.items()})
         n = grid.shape[axis]
         ks = np.abs(np.arange(n) - n // 2 + (0.5 if phase else 0.0))
         dprof = list(self.profiles)

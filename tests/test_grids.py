@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from supertorus.grassmann import (DualScalar, GeneratorMismatch, GrassmannElement,
-                                  NoBody, random_element)
-from supertorus.grids import EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid
+                                  NoBody, mul_sign, random_element)
+from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid,
+                              _profile_conv)
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -77,6 +78,67 @@ def test_product_signs_and_nilpotency():
     assert set(ab.coeffs) == {0b11}
     assert np.max(np.abs(ab.coeffs[0b11] + ba.coeffs[0b11])) == 0.0
     assert (a * a).is_zero()
+
+
+def test_constructor_keeps_the_callers_array_writeable():
+    g = TorusGrid((8, 8))
+    a = np.ones(g.shape)
+    f = GridScalar(g, {0: a})
+    assert a.flags.writeable
+    a[0, 0] = 2.0
+    assert np.all(f.coeffs[0] == 1.0)
+    assert not f.coeffs[0].flags.writeable
+
+
+def test_product_and_difference_leave_operands_alone():
+    g = grid32()
+    masks = (0, 0b1, 0b10, 0b11 | EPS)
+    a = sum((wave(g, (i, 1), amp=0.5 + i, mask=m) for i, m in enumerate(masks)),
+            GridScalar.zeros(g))
+    b = sum((wave(g, (1, i), amp=1.5 - i, trig="sin", mask=m) for i, m in enumerate(masks)),
+            GridScalar.zeros(g))
+    before = [{m: arr.copy() for m, arr in f.coeffs.items()} for f in (a, b)]
+    prod, diff = a * b, a - b
+    # several pairs land on 0b1, 0b10, 0b11 and their eps partners
+    expected = {}
+    for ma, aa in before[0].items():
+        for mb, ab in before[1].items():
+            if not ma & mb:
+                term = mul_sign(ma & ~EPS, mb) * (aa * ab)
+                expected[ma | mb] = expected.get(ma | mb, 0.0) + term
+    assert prod.coeffs.keys() == expected.keys()
+    for m, arr in expected.items():
+        assert np.array_equal(prod.coeffs[m], arr), m
+    for m in masks:
+        assert np.array_equal(diff.coeffs[m], before[0][m] - before[1][m])
+    for f, old in zip((a, b), before):
+        assert f.coeffs.keys() == old.keys()
+        assert all(np.array_equal(f.coeffs[m], old[m]) for m in old)
+    for f in (a, b, prod, diff):
+        assert not any(arr.flags.writeable for arr in f.coeffs.values())
+
+
+def _profile_conv_by_add_at(pa, pb):
+    """Fold of the convolution with one ``np.add.at`` over every bin."""
+    n = pa.shape[0]
+    conv = np.convolve(pa, pb)
+    ks = np.arange(conv.shape[0]) - n
+    in_band = np.abs(ks) <= n // 2
+    folded = np.zeros(n)
+    np.add.at(folded, (ks + n // 2) % n, conv)
+    return folded, float(conv[~in_band].sum()), float(conv.sum())
+
+
+@pytest.mark.parametrize("n", [8, 32, 256])
+def test_profile_fold_matches_add_at(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        pa, pb = (rng.exponential(size=n) * (rng.random(n) < 0.7) for _ in range(2))
+        folded, wrapped, total = _profile_conv(pa, pb)
+        want_folded, want_wrapped, want_total = _profile_conv_by_add_at(pa, pb)
+        assert np.array_equal(folded, want_folded)
+        assert abs(wrapped - want_wrapped) <= 1e-15 * want_wrapped
+        assert total == want_total
 
 
 def test_dual_product_rule_on_grid():
