@@ -113,14 +113,13 @@ def pairing_E_symplectic_density(z, w) -> GridScalar:
     return spinor_omega(z[0], w[1]) - spinor_omega(z[1], w[0])
 
 
-def harmonic_density(phi: MapField, e: FrameField) -> GridScalar:
-    vals = map_frame_differential(phi, e)
-    return sum_fields(vals[k][a] * vals[k][a]
-                      for k in range(2) for a in range(phi.dim))
+def harmonic_density(dphi) -> GridScalar:
+    """``sum_ka dphi(e_k)^a ** 2`` from :func:`map_frame_differential`."""
+    return sum_fields(row[a] * row[a] for row in dphi for a in range(len(row)))
 
 
 def harmonic_energy(phi: MapField, e: FrameField, gens: int = 8):
-    return _integrate(harmonic_density(phi, e), e, gens)
+    return _integrate(harmonic_density(map_frame_differential(phi, e)), e, gens)
 
 
 def dirac_density(psi: TwistedSpinorField, e: FrameField, A=None) -> GridScalar:
@@ -132,16 +131,17 @@ def dirac_action(psi: TwistedSpinorField, e: FrameField, A=None, gens: int = 8):
     return _integrate(dirac_density(psi, e, A), e, gens)
 
 
-def gravitino_q_pairing_density(chi: GravitinoField, e: FrameField) -> GridScalar:
-    """``sum_i omega(chi(e_i), (q chi)(e_i))``, the quartic-term spinor factor."""
+def gravitino_split_frame_values(chi: GravitinoField, e: FrameField):
+    """Frame values ``chi(e_k)`` and those of its spin-3/2 part ``q chi``."""
     vals = gravitino_frame_values(chi, e)
-    qvals = spin32_frame_values(vals, quantize_frame_values(vals))
-    return sum_fields(spinor_omega(vals[i], qvals[i]) for i in range(2))
+    return vals, spin32_frame_values(vals, quantize_frame_values(vals))
 
 
-def quartic_density(chi: GravitinoField, psi: TwistedSpinorField,
-                    e: FrameField) -> GridScalar:
-    return gravitino_q_pairing_density(chi, e) * pairing_E_density(psi.comps, psi.comps)
+def quartic_density(vals, qvals, psi: TwistedSpinorField) -> GridScalar:
+    """``sum_i omega(chi(e_i), (q chi)(e_i)) (psi, psi)`` from the frame
+    values of ``chi`` and ``q chi``."""
+    q_pairing = sum_fields(spinor_omega(vals[i], qvals[i]) for i in range(2))
+    return q_pairing * pairing_E_density(psi.comps, psi.comps)
 
 
 def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
@@ -159,13 +159,10 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
     return _integrate(acc * pairing_E_density(psi.comps, psi.comps), e, gens)
 
 
-def mixed_density(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
-                  e: FrameField) -> GridScalar:
-    """``((q chi)(grad phi)~, psi)`` without the overall factor four."""
-    vals = gravitino_frame_values(chi, e)
-    qvals = spin32_frame_values(vals, quantize_frame_values(vals))
-    dphi = map_frame_differential(phi, e)
-    dim = phi.dim
+def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
+    """``((q chi)(grad phi)~, psi)`` without the overall factor four, from
+    the frame values of ``q chi`` and of ``dphi``."""
+    dim = len(dphi[0])
     tilded = [[None] * dim for _ in range(2)]
     for a in range(dim):
         contracted = MajoranaSpinor(tuple(
@@ -176,7 +173,8 @@ def mixed_density(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
 
 def coupling_mixed(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
                    e: FrameField, gens: int = 8):
-    return _integrate(mixed_density(chi, phi, psi, e), e, gens)
+    _, qvals = gravitino_split_frame_values(chi, e)
+    return _integrate(mixed_density(qvals, map_frame_differential(phi, e), psi), e, gens)
 
 
 def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
@@ -207,14 +205,17 @@ def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
 
     The mixed entry carries its factor of four, so the breakdown sums
     exactly to the total.  The curvature-square and scalar entries belong to
-    the torsion functionals and stay zero here.
+    the torsion functionals and stay zero here.  The frame values ``dphi``,
+    ``chi(e_k)`` and ``(q chi)(e_k)`` are evaluated once and shared.
     """
     zero = _zero_like(e, gens)
+    dphi = map_frame_differential(phi, e)
+    vals, qvals = gravitino_split_frame_values(chi, e)
     return ActionBreakdown(
-        harmonic=_integrate(harmonic_density(phi, e), e, gens),
+        harmonic=_integrate(harmonic_density(dphi), e, gens),
         dirac=_integrate(dirac_density(psi, e, A), e, gens),
-        quartic_coupling=_integrate(quartic_density(chi, psi, e), e, gens),
-        mixed_coupling=_integrate(mixed_density(chi, phi, psi, e).scale(4.0), e, gens),
+        quartic_coupling=_integrate(quartic_density(vals, qvals, psi), e, gens),
+        mixed_coupling=_integrate(mixed_density(qvals, dphi, psi).scale(4.0), e, gens),
         f_squared=zero,
         scal_term=zero,
     )
@@ -235,7 +236,7 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
     fsq_density = f12 * f12 * rho_inv * rho_inv
     zero = _zero_like(e, gens)
     return ActionBreakdown(
-        harmonic=_integrate(harmonic_density(phi, e), e, gens),
+        harmonic=_integrate(harmonic_density(map_frame_differential(phi, e)), e, gens),
         dirac=_integrate(dirac_density(psi, e, A), e, gens),
         quartic_coupling=zero,
         mixed_coupling=zero,

@@ -8,6 +8,7 @@ from supertorus.functionals import (
     coupling_quartic,
     coupling_ruled_out,
     dirac_action,
+    harmonic_energy,
     super_action,
 )
 from supertorus.geometry import FrameField
@@ -68,6 +69,17 @@ def test_super_action_value_slot_ignores_the_variation(action_inputs):
     dual = _total(grid, phi, psi, chi, GridScalar.dual(u, du))
     plain = _total(grid, phi, psi, chi, u)
     assert dual.value == plain
+
+
+def test_super_action_entries_match_standalone_functionals(action_inputs):
+    grid, phi, psi, chi, u, du = action_inputs
+    e = FrameField.conformal(grid, GridScalar.dual(u, du))
+    out = super_action(phi, psi, chi, e)
+    assert out.mixed_coupling.max_abs() > 1e-2
+    assert out.harmonic == harmonic_energy(phi, e)
+    assert out.dirac == dirac_action(psi, e)
+    # scaling by four is exact in binary floating point
+    assert out.mixed_coupling == coupling_mixed(chi, phi, psi, e) * 4.0
 
 
 def _theta_shift(chi, s, e):
