@@ -14,8 +14,8 @@ coframe, metric, volume and connection.
 Spinor-valued data is passed around as nested lists of :class:`GridScalar`
 components; the typed wrappers live in :mod:`fields`.  Gamma matrices act
 only through :mod:`clifford`, and :func:`spin_cov_deriv` is the one spin
-covariant derivative: :func:`dirac_apply` contracts its frame components
-with :func:`clifford.quantize`.
+covariant derivative: :func:`dirac_apply` runs it per target index and
+contracts the frame components with :func:`clifford.quantize`.
 """
 
 from __future__ import annotations
@@ -166,13 +166,18 @@ def torsion_zero(grid: TorusGrid):
     return [GridScalar.zeros(grid), GridScalar.zeros(grid)]
 
 
-def _check_torsion(A, grid):
-    if A is None:
-        return torsion_zero(grid)
-    for comp in A:
-        if comp.parity != 0:
-            raise ValueError("torsion one-form components must be even")
-    return A
+def _spin_coefficients(e: FrameField, A):
+    """``(Gamma_mu + A_mu)/2`` for mu = 0, 1; ``A=None`` is no torsion."""
+    A = torsion_zero(e.grid) if A is None else A
+    if any(comp.parity != 0 for comp in A):
+        raise ValueError("torsion one-form components must be even")
+    return [(gamma + a).scale(0.5) for gamma, a in zip(e.connection, A)]
+
+
+def _covariant(s, coeff):
+    rotated = mat_apply(GAMMA12, s)
+    return [[s[a].partial(mu) + coeff[mu] * rotated[a] for mu in range(2)]
+            for a in range(2)]
 
 
 def spin_cov_deriv(s, e: FrameField, A=None):
@@ -181,15 +186,7 @@ def spin_cov_deriv(s, e: FrameField, A=None):
     ``s`` is a pair of fields; the result is ``out[a][mu]`` with
     ``out[.][mu] = d_mu s + (Gamma_mu + A_mu)/2 * gamma^1 gamma^2 s``.
     """
-    A = _check_torsion(A, e.grid)
-    gamma = e.connection
-    rotated = mat_apply(GAMMA12, s)
-    out = [[None, None], [None, None]]
-    for mu in range(2):
-        coeff = (gamma[mu] + A[mu]).scale(0.5)
-        for a in range(2):
-            out[a][mu] = s[a].partial(mu) + coeff * rotated[a]
-    return out
+    return _covariant(s, _spin_coefficients(e, A))
 
 
 def dirac_apply(psi, e: FrameField, A=None):
@@ -199,11 +196,11 @@ def dirac_apply(psi, e: FrameField, A=None):
     ``a``; dual components transform by the same gamma matrices as primal
     ones, so ``(D psi)[l][a] = gamma^j_{lm} e_j^mu nabla_mu psi[m][a]``.
     """
-    A = _check_torsion(A, e.grid)
+    coeff = _spin_coefficients(e, A)
     d = len(psi[0])
     out = [[None] * d for _ in range(2)]
     for a in range(d):
-        nabla = spin_cov_deriv([psi[0][a], psi[1][a]], e, A)
+        nabla = _covariant([psi[0][a], psi[1][a]], coeff)
         z = SpinorForm(tuple(
             tuple(sum_fields(e.comps[j][mu] * nabla[m][mu] for mu in range(2))
                   for j in range(2))
