@@ -232,7 +232,7 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
 
     A = A if A is not None else torsion_zero(e.grid)
     f12 = curvature_of_torsion(A)
-    rho_inv = e.density.inv()
+    rho_inv = e.determinant
     fsq_density = f12 * f12 * rho_inv * rho_inv
     zero = _zero_like(e, gens)
     return ActionBreakdown(

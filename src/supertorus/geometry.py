@@ -77,6 +77,11 @@ class FrameField:
     # -- derived data --------------------------------------------------------
 
     @property
+    def determinant(self) -> GridScalar:
+        """Frame determinant ``det(e_k^mu)``, the inverse of :attr:`density`."""
+        return self._det
+
+    @property
     def coframe(self):
         """Dual coframe ``ehat[k][mu]`` with ``ehat^k_mu e_l^mu = delta``."""
         if "coframe" not in self._cache:
@@ -144,7 +149,7 @@ def levi_civita_form(e: FrameField):
     ehat = e.coframe
     d1 = ehat[0][1].partial(0) - ehat[0][0].partial(1)
     d2 = ehat[1][1].partial(0) - ehat[1][0].partial(1)
-    rho_inv = e._det
+    rho_inv = e.determinant
     gamma1 = -1.0 * ((ehat[0][0] * d1 + ehat[1][0] * d2) * rho_inv)
     gamma2 = -1.0 * ((ehat[0][1] * d1 + ehat[1][1] * d2) * rho_inv)
     return [gamma1, gamma2]

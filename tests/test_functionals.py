@@ -8,10 +8,11 @@ from supertorus.functionals import (
     coupling_quartic,
     coupling_ruled_out,
     dirac_action,
+    dym_dhym_action,
     harmonic_energy,
     super_action,
 )
-from supertorus.geometry import FrameField
+from supertorus.geometry import FrameField, curvature_of_torsion, integrate
 from supertorus.grassmann import DualScalar
 from supertorus.grids import GridScalar, TorusGrid
 
@@ -80,6 +81,20 @@ def test_super_action_entries_match_standalone_functionals(action_inputs):
     assert out.dirac == dirac_action(psi, e)
     # scaling by four is exact in binary floating point
     assert out.mixed_coupling == coupling_mixed(chi, phi, psi, e) * 4.0
+
+
+def test_f_squared_is_the_curvature_square_over_the_density(action_inputs):
+    grid, phi, psi, _, u, du = action_inputs
+    e = FrameField.conformal(grid, GridScalar.dual(u, du))
+    A = make_trig_field("torsion", [
+        ModeSpec("torsion", (0,), (0, 1), 0.3),
+        ModeSpec("torsion", (1,), (1, 0), -0.4)], grid)
+    f12 = curvature_of_torsion(A)
+    rho_inv = e.density.inv()
+    want = integrate(f12 * f12 * rho_inv * rho_inv, e)
+    got = dym_dhym_action(phi, psi, e, A).f_squared
+    assert want.max_abs() > 1e-2 and want.variation.max_abs() > 1e-3
+    assert (got - want).max_abs() <= 1e-13 * want.max_abs()
 
 
 def _theta_shift(chi, s, e):

@@ -14,7 +14,7 @@ from supertorus.geometry import (
     levi_civita_form,
     spin_cov_deriv,
 )
-from supertorus.grids import GridScalar, TorusGrid
+from supertorus.grids import EPS, GridScalar, TorusGrid
 
 
 def grid(mode="spectral", shape=(32, 32), periods=(1.0, 1.0)):
@@ -45,6 +45,22 @@ def test_conformal_density():
     e = FrameField.conformal(g, u)
     expected = np.exp(2 * u.coeffs[0])
     assert np.max(np.abs(e.density.coeffs[0] - expected)) <= 1e-12
+
+
+def test_determinant_inverts_density():
+    g = grid()
+    u = GridScalar.dual(wave(g, (1, 0), amp=0.1, trig="sin"), wave(g, (0, 1), amp=0.2))
+    e = FrameField.conformal(g, u)
+    # det(exp(-u) delta) = exp(-2u), with first variation -2 du exp(-2u)
+    det = e.determinant
+    assert set(det.coeffs) == {0, EPS}
+    base = np.exp(-2 * u.coeffs[0])
+    assert np.max(np.abs(det.coeffs[0] - base)) <= 1e-14
+    assert np.max(np.abs(det.coeffs[EPS] + 2 * u.coeffs[EPS] * base)) <= 1e-14
+    unit = det * e.density
+    assert set(unit.coeffs) == {0, EPS}
+    assert np.max(np.abs(unit.coeffs[0] - 1.0)) <= 1e-14
+    assert np.max(np.abs(unit.coeffs[EPS])) <= 1e-14
 
 
 def test_conformal_connection_closed_form():
