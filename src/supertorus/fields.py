@@ -218,6 +218,7 @@ def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2,
                     f"{kind} fields are commuting; generator must be -1")
         mask = 0 if spec.generator < 0 else 1 << spec.generator
         arr = _trig_array(grid, spec.wavevector, spec.amplitude)
+        arr.flags.writeable = False  # handed to the field as it is, not copied
         target = comps
         for idx in spec.component[:-1]:
             target = target[idx]

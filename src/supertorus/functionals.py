@@ -160,8 +160,7 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
 
 
 def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
-    """``((q chi)(grad phi)~, psi)`` without the overall factor four, from
-    the frame values of ``q chi`` and of ``dphi``."""
+    """``((q chi)(grad phi)~, psi)`` without the overall factor four."""
     dim = len(dphi[0])
     tilded = [[None] * dim for _ in range(2)]
     for a in range(dim):

@@ -198,8 +198,7 @@ def _frozen(bank: dict) -> dict:
 
 
 def _owned(arr) -> np.ndarray:
-    """``arr`` if the algebra froze it (:func:`_frozen`), else a frozen copy,
-    so that a caller's array is never frozen or aliased."""
+    """``arr`` if it is frozen and owns its data, else a frozen copy."""
     if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata
             and arr.flags.c_contiguous and arr.dtype == np.float64):
         return arr
@@ -226,7 +225,8 @@ class GridScalar:
     """Grassmann-valued scalar field with an exact first-variation slot.
 
     ``coeffs`` maps monomial masks to frozen arrays; keys carrying the
-    :data:`EPS` bit hold the first variation.
+    :data:`EPS` bit hold the first variation.  Read-only float64 arrays
+    that own their data are kept as they are; any other input is copied.
     """
 
     __slots__ = ("grid", "phases", "coeffs", "profiles")

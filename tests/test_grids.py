@@ -88,6 +88,16 @@ def test_constructor_keeps_the_callers_array_writeable():
     a[0, 0] = 2.0
     assert np.all(f.coeffs[0] == 1.0)
     assert not f.coeffs[0].flags.writeable
+    # a frozen array that owns its data is taken as it is; a frozen view of
+    # a writeable array is copied
+    a.flags.writeable = False
+    assert GridScalar(g, {0: a}).coeffs[0] is a
+    b = np.ones(g.shape)
+    view = b.view()
+    view.flags.writeable = False
+    g_view = GridScalar(g, {0: view})
+    b[0, 0] = 2.0
+    assert np.all(g_view.coeffs[0] == 1.0)
 
 
 def test_product_and_difference_leave_operands_alone():
