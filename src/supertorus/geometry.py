@@ -228,7 +228,7 @@ def divergence(J, e: FrameField) -> GridScalar:
     """Metric divergence ``rho^{-1} d_mu (rho J^mu)`` of a vector field."""
     rho = e.density
     flux = sum_fields((rho * J[mu]).partial(mu) for mu in range(2))
-    return rho.inv() * flux
+    return e.determinant * flux
 
 
 def gradient(phi: GridScalar, e: FrameField):
