@@ -178,15 +178,15 @@ def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float, fl
     """
     n = pa.shape[0]
     h = n // 2
-    conv = np.convolve(pa, pb)  # index i is frequency i - n
-    # the unpaired Nyquist bins -h and +h are representable; only strictly
-    # beyond-Nyquist content folds onto foreign frequencies
+    conv = np.convolve(pa, pb)  # index i is frequency i - 2h
+    # frequencies -h..h are representable (for even n the unpaired Nyquist
+    # bin); only content beyond them folds onto foreign frequencies
     total = float(conv.sum())
-    wrapped = float(conv[:h].sum() + conv[n + h + 1:].sum())
+    wrapped = float(conv[:h].sum() + conv[3 * h + 1:].sum())
     # frequency k lands on bin (k + h) mod n
-    folded = conv[h:n + h].copy()
-    folded[h:] += conv[:h]
-    folded[:h - 1] += conv[n + h:]
+    folded = conv[h:h + n].copy()
+    folded[n - h:] += conv[:h]
+    folded[:n - 1 - h] += conv[n + h:]
     return folded, wrapped, total
 
 

@@ -47,8 +47,8 @@ def test_conformal_density():
     assert np.max(np.abs(e.density.coeffs[0] - expected)) <= 1e-12
 
 
-def test_determinant_inverts_density():
-    g = grid()
+@pytest.mark.parametrize("g", [grid(), grid("fd2", shape=(9, 9))], ids=["spectral32", "fd2odd9"])
+def test_determinant_inverts_density(g):
     u = GridScalar.dual(wave(g, (1, 0), amp=0.1, trig="sin"), wave(g, (0, 1), amp=0.2))
     e = FrameField.conformal(g, u)
     # det(exp(-u) delta) = exp(-2u), with first variation -2 du exp(-2u)

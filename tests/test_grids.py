@@ -132,14 +132,14 @@ def _profile_conv_by_add_at(pa, pb):
     """Fold of the convolution with one ``np.add.at`` over every bin."""
     n = pa.shape[0]
     conv = np.convolve(pa, pb)
-    ks = np.arange(conv.shape[0]) - n
+    ks = np.arange(conv.shape[0]) - 2 * (n // 2)  # profile bin i is i - n//2
     in_band = np.abs(ks) <= n // 2
     folded = np.zeros(n)
     np.add.at(folded, (ks + n // 2) % n, conv)
     return folded, float(conv[~in_band].sum()), float(conv.sum())
 
 
-@pytest.mark.parametrize("n", [8, 32, 256])
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 32, 33, 256])
 def test_profile_fold_matches_add_at(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
@@ -149,6 +149,28 @@ def test_profile_fold_matches_add_at(n):
         assert np.array_equal(folded, want_folded)
         assert abs(wrapped - want_wrapped) <= 1e-15 * want_wrapped
         assert total == want_total
+
+
+@pytest.mark.parametrize("mode", ["fd2", "fd4"])
+def test_products_on_odd_fd_grids(mode):
+    g = TorusGrid((9, 7), periods=(2.0, 3.0), mode=mode)
+    # the body product reaches frequency 5 on both axes, past the band
+    a = wave(g, (3, 2)) + wave(g, (0, 1), mask=0b1)
+    b = wave(g, (2, 3), trig="sin") + wave(g, (1, 0), mask=0b10)
+    prod = a * b
+    assert set(prod.coeffs) == {0, 0b1, 0b10, 0b11}
+    for m, (ma, mb) in {0: (0, 0), 0b1: (0b1, 0), 0b10: (0, 0b10)}.items():
+        assert np.allclose(prod.coeffs[m], a.coeffs[ma] * b.coeffs[mb], atol=1e-15)
+    # a fold that sends frequency k anywhere but bin (k + n//2) mod n, or drops
+    # a bin, moves mass here
+    for axis, n in enumerate(g.shape):
+        want = _profile_conv_by_add_at(a.profiles[axis], b.profiles[axis])[0]
+        assert np.allclose(prod.profiles[axis], want, rtol=1e-15, atol=0)
+        assert np.isclose(prod.profiles[axis].sum(),
+                          a.profiles[axis].sum() * b.profiles[axis].sum(), rtol=1e-14)
+    unit = (prod + 3.0) * (prod + 3.0).inv()
+    assert np.allclose(unit.coeffs[0], 1.0, atol=1e-14)
+    assert all(np.allclose(arr, 0.0, atol=1e-14) for m, arr in unit.coeffs.items() if m)
 
 
 def test_dual_product_rule_on_grid():
