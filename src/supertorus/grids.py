@@ -123,7 +123,7 @@ def _spectral_partial(arr: np.ndarray, axis: int, period: float, phase: int) -> 
         k_eff[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
     spec = np.fft.fft(work, axis=axis)
     spec *= (2j * np.pi / period) * k_eff.reshape(shape)
-    out = np.fft.ifft(spec, axis=axis, out=spec)
+    out = np.fft.ifft(spec, axis=axis)
     if phase:
         out *= np.conj(t)
     return np.ascontiguousarray(out.real)
