@@ -12,8 +12,6 @@ Pairing conventions (fixed once, certified by the suites):
   legs contracted with the flat metric.  It is symmetric on odd sections and
   antisymmetric on commuting ones, which is why the Dirac term survives
   exactly for anticommuting coefficients;
-* the symplectic-target variant replaces the flat target contraction by the
-  standard area form on a two-dimensional target;
 * the gravitino self-pairing contracts the frame leg with the flat metric
   and the spinor legs with the spinor area form, the unique combination
   that is even and symmetric for odd gravitinos.
@@ -33,14 +31,15 @@ from .fields import (
     MapField,
     ParityMismatch,
     TwistedSpinorField,
+    _walk,
     gravitino_frame_values,
     quantize_frame_values,
     spin32_frame_values,
     spinor_omega,
 )
-from .geometry import FrameField, dirac_apply, sum_fields
-from .grassmann import DualScalar, GrassmannElement
-from .grids import GridScalar, ShapeMismatch
+from .geometry import FrameField, dirac_apply, integrate, sum_fields
+from .grassmann import DualScalar, GeneratorMismatch, GrassmannElement
+from .grids import EPS, GridScalar, ShapeMismatch
 
 
 @dataclass
@@ -101,25 +100,14 @@ def pairing_E_density(z, w) -> GridScalar:
     return sum_fields(z[0][a] * w[1][a] - z[1][a] * w[0][a] for a in range(dim))
 
 
-def pairing_E(z: TwistedSpinorField, w: TwistedSpinorField) -> GridScalar:
-    return pairing_E_density(z.comps, w.comps)
-
-
-def pairing_E_symplectic_density(z, w) -> GridScalar:
-    """Fiber pairing with the target area form instead of the target metric;
-    the area form has the matrix of ``omega``, which contracts the targets."""
-    if len(z[0]) != 2 or len(w[0]) != 2:
-        raise ShapeMismatch("symplectic targets are two-dimensional")
-    return spinor_omega(z[0], w[1]) - spinor_omega(z[1], w[0])
-
-
 def harmonic_density(dphi) -> GridScalar:
     """``sum_ka dphi(e_k)^a ** 2`` from :func:`map_frame_differential`."""
     return sum_fields(row[a] * row[a] for row in dphi for a in range(len(row)))
 
 
 def harmonic_energy(phi: MapField, e: FrameField, gens: int = 8):
-    return _integrate(harmonic_density(map_frame_differential(phi, e)), e, gens)
+    _check_gens(gens, phi, e)
+    return integrate(harmonic_density(map_frame_differential(phi, e)), e, gens)
 
 
 def dirac_density(psi: TwistedSpinorField, e: FrameField, A=None) -> GridScalar:
@@ -128,7 +116,8 @@ def dirac_density(psi: TwistedSpinorField, e: FrameField, A=None) -> GridScalar:
 
 def dirac_action(psi: TwistedSpinorField, e: FrameField, A=None, gens: int = 8):
     """Integrated graded Dirac pairing; independent of the torsion term."""
-    return _integrate(dirac_density(psi, e, A), e, gens)
+    _check_gens(gens, psi, e, A)
+    return integrate(dirac_density(psi, e, A), e, gens)
 
 
 def gravitino_split_frame_values(chi: GravitinoField, e: FrameField):
@@ -149,6 +138,7 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
     """Quartic conformal invariant in its index form
     ``sum_ij omega(chi_i, gamma^j gamma^i chi_j) (psi, psi)``; equals twice
     the quartic term of the full action."""
+    _check_gens(gens, chi, psi, e)
     vals = gravitino_frame_values(chi, e)
     acc = None
     for i in range(2):
@@ -156,7 +146,7 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
             rotated = mat_apply(GAMMA_PRODUCTS[j][i], vals[j])
             term = spinor_omega(vals[i], rotated)
             acc = term if acc is None else acc + term
-    return _integrate(acc * pairing_E_density(psi.comps, psi.comps), e, gens)
+    return integrate(acc * pairing_E_density(psi.comps, psi.comps), e, gens)
 
 
 def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
@@ -172,8 +162,9 @@ def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
 
 def coupling_mixed(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
                    e: FrameField, gens: int = 8):
+    _check_gens(gens, chi, phi, psi, e)
     _, qvals = gravitino_split_frame_values(chi, e)
-    return _integrate(mixed_density(qvals, map_frame_differential(phi, e), psi), e, gens)
+    return integrate(mixed_density(qvals, map_frame_differential(phi, e), psi), e, gens)
 
 
 def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
@@ -185,6 +176,7 @@ def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
     is super-Weyl invariant and witnesses no rejection by the gravitino
     shift; whether the paper's ruled-out term contracts otherwise is open.
     """
+    _check_gens(gens, chi, psi, e)
     vals = gravitino_frame_values(chi, e)
     dim = psi.dim
     acc = None
@@ -195,7 +187,7 @@ def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
                 rotated = mat_apply(GAMMA_PRODUCTS[j][i], spinor_a)
                 term = spinor_omega(vals[i], rotated) * spinor_omega(spinor_a, vals[j])
                 acc = term if acc is None else acc + term
-    return _integrate(acc, e, gens)
+    return integrate(acc, e, gens)
 
 
 def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
@@ -207,14 +199,15 @@ def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
     the torsion functionals and stay zero here.  The frame values ``dphi``,
     ``chi(e_k)`` and ``(q chi)(e_k)`` are evaluated once and shared.
     """
+    _check_gens(gens, phi, psi, chi, e, A)
     zero = _zero_like(e, gens)
     dphi = map_frame_differential(phi, e)
     vals, qvals = gravitino_split_frame_values(chi, e)
     return ActionBreakdown(
-        harmonic=_integrate(harmonic_density(dphi), e, gens),
-        dirac=_integrate(dirac_density(psi, e, A), e, gens),
-        quartic_coupling=_integrate(quartic_density(vals, qvals, psi), e, gens),
-        mixed_coupling=_integrate(mixed_density(qvals, dphi, psi).scale(4.0), e, gens),
+        harmonic=integrate(harmonic_density(dphi), e, gens),
+        dirac=integrate(dirac_density(psi, e, A), e, gens),
+        quartic_coupling=integrate(quartic_density(vals, qvals, psi), e, gens),
+        mixed_coupling=integrate(mixed_density(qvals, dphi, psi).scale(4.0), e, gens),
         f_squared=zero,
         scal_term=zero,
     )
@@ -229,36 +222,35 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
     """
     from .geometry import curvature_of_torsion, torsion_zero
 
+    _check_gens(gens, phi, psi, e, A)
     A = A if A is not None else torsion_zero(e.grid)
     f12 = curvature_of_torsion(A)
     rho_inv = e.determinant
     fsq_density = f12 * f12 * rho_inv * rho_inv
     zero = _zero_like(e, gens)
     return ActionBreakdown(
-        harmonic=_integrate(harmonic_density(map_frame_differential(phi, e)), e, gens),
-        dirac=_integrate(dirac_density(psi, e, A), e, gens),
+        harmonic=integrate(harmonic_density(map_frame_differential(phi, e)), e, gens),
+        dirac=integrate(dirac_density(psi, e, A), e, gens),
         quartic_coupling=zero,
         mixed_coupling=zero,
-        f_squared=_integrate(fsq_density, e, gens),
+        f_squared=integrate(fsq_density, e, gens),
         scal_term=zero,
     )
 
 
-def symplectic_target_dirac_density(psi: TwistedSpinorField, e: FrameField,
-                                    A=None) -> GridScalar:
-    if psi.parity != 0:
-        raise ParityMismatch("the symplectic-target mode expects commuting data")
-    return pairing_E_symplectic_density(psi.comps, dirac_apply(psi.comps, e, A))
-
-
-def symplectic_target_dirac_action(psi: TwistedSpinorField, e: FrameField,
-                                   A=None, gens: int = 8) -> float:
-    value = _integrate(symplectic_target_dirac_density(psi, e, A), e, gens)
-    return float(value.coeffs.get(0, 0.0))
-
-
-def _integrate(density: GridScalar, e: FrameField, gens: int):
-    return (density * e.density).integral(gens)
+def _check_gens(gens: int, *inputs):
+    """Raise :class:`GeneratorMismatch` unless ``gens`` covers every
+    generator that the input fields (``None`` skipped) use."""
+    if not 0 <= gens <= 16:
+        raise ValueError(f"generator count must be in [0, 16], got {gens}")
+    used = 0
+    for f in _walk(getattr(x, "comps", x) for x in inputs if x is not None):
+        for mask in f.coeffs:
+            used |= mask
+    highest = (used & (EPS - 1)).bit_length() - 1
+    if highest >= gens:
+        raise GeneratorMismatch(
+            f"gens={gens} does not cover generator {highest} of the input fields")
 
 
 def _zero_like(e: FrameField, gens: int):

@@ -220,8 +220,9 @@ def curvature_of_torsion(A) -> GridScalar:
 
 
 def integrate(f: GridScalar, e: FrameField, gens: int = 8):
-    """Integral of an even scalar field against the Riemannian volume."""
-    return (f * e.density).integral(gens)
+    """Integral of an even scalar field against the Riemannian volume;
+    the weighted field is never stored (see :meth:`GridScalar.integral`)."""
+    return f.integral(gens, weight=e.density)
 
 
 def divergence(J, e: FrameField) -> GridScalar:

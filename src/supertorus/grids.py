@@ -31,11 +31,24 @@ fraction of its mass outside the band, and raises
 :class:`AliasingDetected` otherwise.  Profiles of transcendental results
 (inversion, exponentials) are measured from the data; profiles of products
 fold the out-of-band mass back in, so the bound stays valid along chains.
+
+Construction invariant
+----------------------
+Every array a field stores is frozen (read-only), owns its data and is
+nonzero somewhere.  The public constructor validates its input: mask range,
+shape, a frozen owned float64 copy where needed, and zero arrays dropped.
+Results of the algebra (sums, products, scalings, partials, :meth:`dual`,
+negation) skip that validation and zero-test only the arrays the operation
+computed; an array carried over unchanged from an operand already holds the
+invariant.  A product or sum with an empty operand does no array work at
+all, and :meth:`GridScalar.integral` with a ``weight`` integrates a product
+without storing it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from numbers import Number
 
@@ -103,29 +116,47 @@ class TorusGrid:
 # -- low level engines ------------------------------------------------------
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=64)
 def _twist(n: int) -> np.ndarray:
-    return np.exp(-1j * np.pi * np.arange(n) / n)
+    return _read_only(np.exp(-1j * np.pi * np.arange(n) / n))
 
 
-def _spectral_partial(arr: np.ndarray, axis: int, period: float, phase: int) -> np.ndarray:
-    n = arr.shape[axis]
+@lru_cache(maxsize=64)
+def _spectral_tables(n: int, axis: int, period: float, phase: int):
+    """Multiplier ``(2 pi i / period) k_eff``, twist and untwist (``None``
+    when periodic), shaped to broadcast along ``axis``; built once."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     shape = [1, 1]
     shape[axis] = n
     if phase:
-        t = _twist(n).reshape(shape)
-        work = arr * t
+        twist = _twist(n).reshape(shape)
+        untwist = _read_only(np.conj(twist))
         k_eff = k + 0.5
     else:
-        t = None
-        work = arr
+        twist = untwist = None
         k_eff = k.copy()
         k_eff[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
-    spec = np.fft.fft(work, axis=axis)
-    spec *= (2j * np.pi / period) * k_eff.reshape(shape)
+    return _read_only((2j * np.pi / period) * k_eff.reshape(shape)), twist, untwist
+
+
+@lru_cache(maxsize=64)
+def _profile_weights(n: int, phase: int) -> np.ndarray:
+    """|frequency| of each profile bin, half-integer on a twisted axis."""
+    return _read_only(np.abs(np.arange(n) - n // 2 + (0.5 if phase else 0.0)))
+
+
+def _spectral_partial(arr: np.ndarray, axis: int, period: float, phase: int) -> np.ndarray:
+    multiplier, twist, untwist = _spectral_tables(arr.shape[axis], axis, period, phase)
+    spec = np.fft.fft(arr * twist if phase else arr, axis=axis)
+    spec *= multiplier
     out = np.fft.ifft(spec, axis=axis)
     if phase:
-        out *= np.conj(t)
+        out *= untwist
     return np.ascontiguousarray(out.real)
 
 
@@ -197,6 +228,51 @@ def _frozen(bank: dict) -> dict:
     return bank
 
 
+def _keep(bank: dict, mask: int, arr: np.ndarray):
+    """Store an array an operation computed, frozen, or drop ``mask`` if the
+    array is zero (disjoint supports, cancellation and underflow all give
+    exact zeros)."""
+    if arr.any():
+        arr.flags.writeable = False
+        bank[mask] = arr
+    else:
+        bank.pop(mask, None)
+
+
+def _kept(items) -> dict:
+    """Bank of ``(mask, array)`` pairs an operation computed, with
+    :func:`_keep` applied to each."""
+    out = {}
+    for mask, arr in items:
+        _keep(out, mask, arr)
+    return out
+
+
+def _products(da: dict, db: dict, out=None):
+    """Yield ``(mask, array)`` per monomial of the graded product of two
+    banks, in the order of first appearance.  The pairs of one output mask
+    are multiplied and summed in the order they appear.  Each array is
+    fresh, unless ``out`` is given: then every array is ``out`` itself,
+    overwritten by the next monomial."""
+    pairs: dict[int, list] = {}
+    for ma, aa in da.items():
+        for mb, ab in db.items():
+            if not ma & mb:
+                # eps is even and never contributes a sign; left in ``ma``
+                # it would count every generator of ``mb`` as a swap
+                pairs.setdefault(ma | mb, []).append(
+                    (aa, ab, mul_sign(ma & ~EPS, mb) < 0))
+    scratch = None
+    for mask, ((aa, ab, negative), *rest) in pairs.items():
+        acc = np.multiply(aa, ab, out=out)
+        if negative:
+            np.negative(acc, out=acc)
+        for aa, ab, negative in rest:
+            scratch = np.multiply(aa, ab, out=scratch)
+            (np.subtract if negative else np.add)(acc, scratch, out=acc)
+        yield mask, acc
+
+
 def _owned(arr) -> np.ndarray:
     """``arr`` if it is frozen and owns its data, else a frozen copy."""
     if (isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata
@@ -227,27 +303,37 @@ class GridScalar:
     ``coeffs`` maps monomial masks to frozen arrays; keys carrying the
     :data:`EPS` bit hold the first variation.  Read-only float64 arrays
     that own their data are kept as they are; any other input is copied.
+    The spectral profiles of caller data are always measured.
     """
 
     __slots__ = ("grid", "phases", "coeffs", "profiles")
 
-    def __init__(self, grid: TorusGrid, coeffs=None,
-                 phases: tuple[int, int] = (0, 0), profiles=None):
+    def __init__(self, grid: TorusGrid, coeffs=None, phases: tuple[int, int] = (0, 0)):
+        self._fill(grid, _clean_bank(coeffs or {}, grid.shape), phases, None)
+
+    def _fill(self, grid, coeffs, phases, profiles):
         self.grid = grid
         self.phases = phases
-        self.coeffs = _clean_bank(coeffs or {}, grid.shape)
-        if not self.coeffs:
+        self.coeffs = coeffs
+        if not coeffs:
             profiles = (np.zeros(grid.shape[0]), np.zeros(grid.shape[1]))
         elif profiles is None:
-            profiles = _measure_profiles(self.coeffs.values(), grid.shape, phases)
-        self.profiles = (np.asarray(profiles[0]), np.asarray(profiles[1]))
+            profiles = _measure_profiles(coeffs.values(), grid.shape, phases)
+        self.profiles = profiles
+
+    @classmethod
+    def _made(cls, grid, coeffs, phases, profiles) -> "GridScalar":
+        """Result of the algebra; ``coeffs`` already holds the construction
+        invariant, so none of the constructor's checks run."""
+        self = object.__new__(cls)
+        self._fill(grid, coeffs, phases, profiles)
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, grid: TorusGrid, phases=(0, 0)) -> "GridScalar":
-        return cls(grid, {}, phases=phases,
-                   profiles=(np.zeros(grid.shape[0]), np.zeros(grid.shape[1])))
+        return cls(grid, {}, phases=phases)
 
     @classmethod
     def constant(cls, grid: TorusGrid, value) -> "GridScalar":
@@ -270,9 +356,9 @@ class GridScalar:
         value._check_compatible(variation)
         coeffs = dict(value.coeffs)
         coeffs.update({m | EPS: a for m, a in variation.coeffs.items()})
-        return cls(value.grid, coeffs, phases=value.phases,
-                   profiles=(value.profiles[0] + variation.profiles[0],
-                             value.profiles[1] + variation.profiles[1]))
+        return cls._made(value.grid, coeffs, value.phases,
+                         (value.profiles[0] + variation.profiles[0],
+                          value.profiles[1] + variation.profiles[1]))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -308,16 +394,24 @@ class GridScalar:
         if other is NotImplemented:
             return NotImplemented
         self._check_compatible(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other if subtract else other
+        # masks only ``self`` has are carried over as they are
         out = dict(self.coeffs)
         for m, arr in other.coeffs.items():
             cur = out.get(m)
             if cur is None:
-                out[m] = -arr if subtract else arr
+                if subtract:
+                    _keep(out, m, -arr)
+                else:
+                    out[m] = arr
             else:
-                out[m] = cur - arr if subtract else cur + arr
-        return GridScalar(self.grid, _frozen(out), phases=self.phases,
-                          profiles=(self.profiles[0] + other.profiles[0],
-                                    self.profiles[1] + other.profiles[1]))
+                _keep(out, m, cur - arr if subtract else cur + arr)
+        return GridScalar._made(self.grid, out, self.phases,
+                                (self.profiles[0] + other.profiles[0],
+                                 self.profiles[1] + other.profiles[1]))
 
     def __add__(self, other):
         return self._combine(other, subtract=False)
@@ -325,9 +419,8 @@ class GridScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return GridScalar(self.grid,
-                          _frozen({m: -a for m, a in self.coeffs.items()}),
-                          phases=self.phases, profiles=self.profiles)
+        return GridScalar._made(self.grid, _kept((m, -a) for m, a in self.coeffs.items()),
+                                self.phases, self.profiles)
 
     def __sub__(self, other):
         return self._combine(other, subtract=True)
@@ -339,11 +432,9 @@ class GridScalar:
         c = float(c)
         if c == 0.0:
             return GridScalar.zeros(self.grid, self.phases)
-        return GridScalar(self.grid,
-                          _frozen({m: c * a for m, a in self.coeffs.items()}),
-                          phases=self.phases,
-                          profiles=(abs(c) * self.profiles[0],
-                                    abs(c) * self.profiles[1]))
+        return GridScalar._made(self.grid, _kept((m, c * a) for m, a in self.coeffs.items()),
+                                self.phases,
+                                (abs(c) * self.profiles[0], abs(c) * self.profiles[1]))
 
     def _lift(self, other):
         if isinstance(other, GridScalar):
@@ -354,37 +445,9 @@ class GridScalar:
 
     # -- graded product ----------------------------------------------------------
 
-    @staticmethod
-    def _bank_mul(da, db):
-        out: dict[int, np.ndarray] = {}
-        scratch = None
-        for ma, aa in da.items():
-            for mb, ab in db.items():
-                if ma & mb:
-                    continue
-                mask = ma | mb
-                # eps is even and never contributes a sign; left in ``ma``
-                # it would count every generator of ``mb`` as a swap
-                negative = mul_sign(ma & ~EPS, mb) < 0
-                cur = out.get(mask)
-                if cur is None:
-                    cur = out[mask] = aa * ab
-                    if negative:
-                        np.negative(cur, out=cur)
-                else:
-                    # accumulate into the array this product allocated
-                    scratch = np.multiply(aa, ab, out=scratch)
-                    (np.subtract if negative else np.add)(cur, scratch, out=cur)
-        return _frozen(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Number):
-            return self.scale(other)
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.grid != other.grid:
-            raise ShapeMismatch("fields live on different grids")
+    def _guarded_profiles(self, other: "GridScalar"):
+        """Folded profiles of ``self * other``; raises
+        :class:`AliasingDetected` when the product would alias."""
         profiles = []
         for axis in range(2):
             folded, wrapped, total = _profile_conv(
@@ -397,10 +460,23 @@ class GridScalar:
                     f"product pushes {wrapped:.3e} of {total:.3e} spectral mass "
                     f"past Nyquist along axis {axis}")
             profiles.append(folded)
+        return tuple(profiles)
+
+    def __mul__(self, other):
+        if isinstance(other, Number):
+            return self.scale(other)
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.grid != other.grid:
+            raise ShapeMismatch("fields live on different grids")
         phases = ((self.phases[0] + other.phases[0]) % 2,
                   (self.phases[1] + other.phases[1]) % 2)
-        return GridScalar(self.grid, self._bank_mul(self.coeffs, other.coeffs),
-                          phases=phases, profiles=tuple(profiles))
+        if not self.coeffs or not other.coeffs:
+            return GridScalar._made(self.grid, {}, phases, None)
+        profiles = self._guarded_profiles(other)
+        return GridScalar._made(self.grid, _kept(_products(self.coeffs, other.coeffs)),
+                                phases, profiles)
 
     def __rmul__(self, other):
         if isinstance(other, Number):
@@ -467,29 +543,42 @@ class GridScalar:
         else:
             order = 2 if grid.mode == "fd2" else 4
             engine = lambda arr: _fd_partial(arr, axis, period, phase, order)
-        value = _frozen({m: engine(a) for m, a in self.coeffs.items()})
-        n = grid.shape[axis]
-        ks = np.abs(np.arange(n) - n // 2 + (0.5 if phase else 0.0))
+        value = _kept((m, engine(a)) for m, a in self.coeffs.items())
         dprof = list(self.profiles)
-        dprof[axis] = self.profiles[axis] * (2 * np.pi / period) * ks
-        return GridScalar(grid, value, phases=self.phases,
-                          profiles=tuple(dprof))
+        dprof[axis] = (self.profiles[axis] * (2 * np.pi / period)
+                       * _profile_weights(grid.shape[axis], phase))
+        return GridScalar._made(grid, value, self.phases, tuple(dprof))
 
-    def integral(self, gens: int = 8):
+    def integral(self, gens: int = 8, weight: "GridScalar | None" = None):
         """Plain quadrature sum times the cell volume.
 
-        Returns a :class:`DualScalar` when the field carries a variation
+        Returns a :class:`DualScalar` when the integrand carries a variation
         slot and a :class:`GrassmannElement` otherwise.  numpy's pairwise
         summation keeps the reduction deterministic for a fixed shape.
+
+        With a ``weight`` field the integrand is ``self * weight``.  The
+        product runs under the same grid check and aliasing guard as
+        ``*`` but is never stored; the result equals
+        ``(self * weight).integral(gens)`` bitwise.
         """
         vol = self.grid.cell_volume
-        sums = {m: float(a.sum()) * vol for m, a in self.coeffs.items()}
+        if weight is None:
+            sums = {m: float(a.sum()) for m, a in self.coeffs.items()}
+        elif self.grid != weight.grid:
+            raise ShapeMismatch("fields live on different grids")
+        elif not self.coeffs or not weight.coeffs:
+            sums = {}
+        else:
+            self._guarded_profiles(weight)
+            # one scratch array holds each monomial of the product in turn
+            sums = {m: float(a.sum()) for m, a in _products(
+                self.coeffs, weight.coeffs, out=np.empty(self.grid.shape)) if a.any()}
         value = GrassmannElement(
-            gens, {m: c for m, c in sums.items() if not m & EPS})
-        if not self.has_eps():
+            gens, {m: c * vol for m, c in sums.items() if not m & EPS})
+        if not any(m & EPS for m in sums):
             return value
         variation = GrassmannElement(
-            gens, {m & ~EPS: c for m, c in sums.items() if m & EPS})
+            gens, {m & ~EPS: c * vol for m, c in sums.items() if m & EPS})
         return DualScalar(value, variation)
 
     # -- misc --------------------------------------------------------------------

@@ -13,7 +13,7 @@ from supertorus.functionals import (
     super_action,
 )
 from supertorus.geometry import FrameField, curvature_of_torsion, integrate
-from supertorus.grassmann import DualScalar
+from supertorus.grassmann import DualScalar, GeneratorMismatch
 from supertorus.grids import GridScalar, TorusGrid
 
 # each odd generator sits on two spinor slots; a lexicographically negative
@@ -63,6 +63,41 @@ def test_super_action_eps_slot_is_the_first_variation(action_inputs):
     minus = _total(grid, phi, psi, chi, u - du.scale(h))
     central = (plus - minus) * (1 / (2 * h))
     assert (dual.variation - central).max_abs() <= 1e-9
+
+
+def _no_field_arithmetic(*args):
+    raise AssertionError("field arithmetic ran before the generator check")
+
+
+@pytest.mark.parametrize("name,gens,highest", [
+    ("super_action", 4, 5), ("dym_dhym_action", 2, 2), ("dirac_action", 2, 2),
+    ("coupling_quartic", 5, 5), ("coupling_mixed", 3, 5), ("coupling_ruled_out", 4, 5)])
+def test_functionals_check_gens_before_any_field_arithmetic(
+        action_inputs, monkeypatch, name, gens, highest):
+    grid, phi, psi, chi, u, du = action_inputs
+    e = FrameField.conformal(grid, GridScalar.dual(u, du))
+    call = {
+        "super_action": lambda g: super_action(phi, psi, chi, e, gens=g),
+        "dym_dhym_action": lambda g: dym_dhym_action(phi, psi, e, gens=g),
+        "dirac_action": lambda g: dirac_action(psi, e, gens=g),
+        "coupling_quartic": lambda g: coupling_quartic(chi, psi, e, gens=g),
+        "coupling_mixed": lambda g: coupling_mixed(chi, phi, psi, e, gens=g),
+        "coupling_ruled_out": lambda g: coupling_ruled_out(chi, psi, e, gens=g),
+    }[name]
+    with monkeypatch.context() as m:
+        for op in ("__mul__", "__add__", "__sub__", "partial"):
+            m.setattr(GridScalar, op, _no_field_arithmetic)
+        with pytest.raises(GeneratorMismatch, match=f"gens={gens} .* generator {highest}"):
+            call(gens)
+        with pytest.raises(ValueError, match="17"):
+            call(17)
+    # one more generator is enough, and changes no coefficient
+    full, covered = call(8), call(highest + 1)
+    if hasattr(full, "total"):
+        full, covered = full.total, covered.total
+    assert full.value.coeffs == covered.value.coeffs
+    assert full.variation.coeffs == covered.variation.coeffs
+    assert covered.value.gens == highest + 1
 
 
 def test_super_action_value_slot_ignores_the_variation(action_inputs):

@@ -4,7 +4,7 @@ import pytest
 from supertorus.grassmann import (DualScalar, GeneratorMismatch, GrassmannElement,
                                   NoBody, mul_sign, random_element)
 from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid,
-                              _profile_conv)
+                              _profile_conv, _spectral_partial, _spectral_tables)
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -334,3 +334,141 @@ def test_scalar_and_element_coefficients():
     left = theta * other
     right = other * theta
     assert np.max(np.abs(left.coeffs[0b11] + right.coeffs[0b11])) == 0.0
+
+
+def _spectral_partial_uncached(arr, axis, period, phase):
+    """Spectral derivative with every table built on the spot."""
+    n = arr.shape[axis]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    shape = [1, 1]
+    shape[axis] = n
+    t = np.exp(-1j * np.pi * np.arange(n) / n).reshape(shape)
+    if phase:
+        k_eff = k + 0.5
+    else:
+        k_eff = k.copy()
+        k_eff[n // 2] = 0.0
+    spec = np.fft.fft(arr * t if phase else arr, axis=axis)
+    spec *= (2j * np.pi / period) * k_eff.reshape(shape)
+    out = np.fft.ifft(spec, axis=axis)
+    if phase:
+        out *= np.conj(t)
+    return np.ascontiguousarray(out.real)
+
+
+@pytest.mark.parametrize("phase", [0, 1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_spectral_tables_are_cached_and_exact(axis, phase):
+    arr = np.random.default_rng(3).standard_normal((16, 8))
+    want = _spectral_partial_uncached(arr, axis, 2.5, phase)
+    for _ in range(2):
+        assert np.array_equal(_spectral_partial(arr, axis, 2.5, phase), want)
+    assert _spectral_tables(arr.shape[axis], axis, 2.5, phase) is \
+        _spectral_tables(arr.shape[axis], axis, 2.5, phase)
+    for table in _spectral_tables(arr.shape[axis], axis, 2.5, phase):
+        assert table is None or not table.flags.writeable
+
+
+def _same_scalar(a, b):
+    """Exact equality of integrals, result type included."""
+    assert type(a) is type(b)
+    pairs = ([(a.value, b.value), (a.variation, b.variation)]
+             if isinstance(a, DualScalar) else [(a, b)])
+    for x, y in pairs:
+        assert x.gens == y.gens
+        assert x.coeffs == y.coeffs
+
+
+def _weighted_integral_cases(g):
+    a = wave(g, (1, 0), amp=0.7)
+    b = wave(g, (0, 1), amp=0.4, trig="sin")
+    c = wave(g, (1, 1), amp=0.3)
+    eps_f = GridScalar.dual(a + wave(g, (1, 1), mask=0b1), b + c * GridScalar.constant(
+        g, GrassmannElement.generator(2, 8)))
+    eps_w = GridScalar.dual(1.5 + b, wave(g, (1, 0), mask=0b1010))
+    # (c g2 + eps a (g0 + g1)) * a (g0 + g1): the two eps pairs cancel exactly
+    odd_f = GridScalar(g, {0b100: c.coeffs[0], 0b1 | EPS: a.coeffs[0],
+                           0b10 | EPS: a.coeffs[0]})
+    odd_w = GridScalar(g, {0b1: a.coeffs[0], 0b10: a.coeffs[0]})
+    zero = GridScalar.zeros(g)
+    return {"eps": (eps_f, eps_w), "eps-weight": (a, eps_w),
+            "odd-eps-cancels": (odd_f, odd_w), "empty-weight": (eps_f, zero),
+            "empty-field": (zero, eps_w)}
+
+
+@pytest.mark.parametrize("case", ["eps", "eps-weight", "odd-eps-cancels",
+                                  "empty-weight", "empty-field"])
+def test_weighted_integral_is_the_integral_of_the_product(case):
+    g = TorusGrid((16, 16), periods=(2.0, 3.0))
+    f, w = _weighted_integral_cases(g)[case]
+    prod = f * w
+    if case == "odd-eps-cancels":
+        assert f.has_eps() and not prod.has_eps() and not prod.is_zero()
+    _same_scalar(f.integral(6, weight=w), prod.integral(6))
+    if case == "eps":
+        assert isinstance(prod.integral(6), DualScalar)
+        assert prod.integral(6).variation.max_abs() > 1e-3
+
+
+def test_weighted_integral_keeps_the_aliasing_guard():
+    g = grid32()
+    f = wave(g, (10, 0))
+    # mode 20 is past Nyquist on a 32 grid: the first product of
+    # test_aliasing_guard_trips already trips
+    with pytest.raises(AliasingDetected):
+        f * f
+    with pytest.raises(AliasingDetected):
+        f.integral(2, weight=f)
+
+
+def test_empty_operands_keep_the_grid_and_phase_checks():
+    g, other = grid32(), grid32(periods=(2.0, 1.0))
+    zero, zero_twisted = GridScalar.zeros(g), GridScalar.zeros(g, phases=(1, 0))
+    f = wave(g, (1, 0))
+    for x, y in ((zero, wave(other, (1, 0))), (f, GridScalar.zeros(other))):
+        for op in (lambda p, q: p * q, lambda p, q: p + q, lambda p, q: p - q,
+                   lambda p, q: p.integral(2, weight=q)):
+            with pytest.raises(ShapeMismatch):
+                op(x, y)
+            with pytest.raises(ShapeMismatch):
+                op(y, x)
+    for x, y in ((zero_twisted, f), (f, zero_twisted)):
+        for op in (lambda p, q: p + q, lambda p, q: p - q):
+            with pytest.raises(ShapeMismatch):
+                op(x, y)
+    twisted = wave(g, (1, 0), phases=(1, 1))
+    for prod in (zero_twisted * twisted, twisted * zero_twisted):
+        assert prod.is_zero() and prod.phases == (0, 1)
+        assert not any(p.any() for p in prod.profiles)
+    assert (zero * twisted).phases == (1, 1)
+    for total in (zero_twisted + wave(g, (0, 1), phases=(1, 0)),
+                  wave(g, (0, 1), phases=(1, 0)) - zero_twisted):
+        assert total.phases == (1, 0) and set(total.coeffs) == {0}
+    diff = zero - f
+    assert np.array_equal(diff.coeffs[0], -f.coeffs[0])
+    assert not diff.coeffs[0].flags.writeable
+
+
+def test_sum_carries_unshared_arrays_over():
+    g = grid32()
+    f = wave(g, (1, 0)) + wave(g, (0, 1), mask=0b1)
+    h = wave(g, (1, 1)) + wave(g, (1, 0), mask=0b10 | EPS)
+    total = f + h
+    assert total.coeffs[0b1] is f.coeffs[0b1]
+    assert total.coeffs[0b10 | EPS] is h.coeffs[0b10 | EPS]
+    assert np.array_equal(total.coeffs[0], f.coeffs[0] + h.coeffs[0])
+    diff = f - h
+    assert diff.coeffs[0b1] is f.coeffs[0b1]
+    assert np.array_equal(diff.coeffs[0b10 | EPS], -h.coeffs[0b10 | EPS])
+
+
+def test_cancelling_results_drop_the_mask():
+    g = grid32()
+    f = wave(g, (1, 0)) + wave(g, (0, 1), mask=0b1 | EPS)
+    assert (f - f).is_zero()
+    keep = wave(g, (1, 1), mask=0b100)
+    assert set((f + keep - f).coeffs) == {0b100}
+    # a g0 + b g1 squared: the pairs a*b g0 g1 and b*a g1 g0 cancel exactly
+    psi = wave(g, (1, 0), amp=0.7, mask=0b1) + wave(g, (0, 1), amp=0.4, mask=0b10)
+    assert psi.parity == 1 and (psi * psi).is_zero()
+    assert (psi * psi).integral(2) == GrassmannElement.zero(2)
