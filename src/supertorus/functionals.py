@@ -56,8 +56,9 @@ class ActionBreakdown:
     def __post_init__(self):
         for f in dataclass_fields(self):
             entry = getattr(self, f.name)
-            value = entry.value if isinstance(entry, DualScalar) else entry
-            if any(m.bit_count() & 1 for m in value.coeffs):
+            slots = ((entry.value, entry.variation) if isinstance(entry, DualScalar)
+                     else (entry,))
+            if any(m.bit_count() & 1 for slot in slots for m in slot.coeffs):
                 raise ParityMismatch(f"breakdown entry {f.name} is not even")
 
     @property

@@ -32,6 +32,19 @@ fraction of its mass outside the band, and raises
 (inversion, exponentials) are measured from the data; profiles of products
 fold the out-of-band mass back in, so the bound stays valid along chains.
 
+Every field also carries a per-axis ``reach``: an upper bound on the
+distance, in profile bins from the centre bin ``n//2``, at which its profile
+carries mass (-1 for an empty field).  Measured profiles compute it from
+their nonzero bins, sums take the larger reach, negation, scaling and
+derivatives keep it.  When the reaches of two factors add up to at most
+``(n - 1)//2`` no bin of the convolution lies past the band (on an even
+grid the +Nyquist bin would still fold onto bin 0), so the guard cannot
+trip.  Profiles are nonnegative, so every bin beyond that sum is exactly
++0.0 and the fold would only add zeros: such a product skips the guard's
+mass sums and the fold, takes the centre of the convolution as its
+profile, bitwise what the fold gives, and reaches the sum.  Any other
+product runs the guard and the fold, and reaches ``n//2``.
+
 Construction invariant
 ----------------------
 Every array a field stores is frozen (read-only), owns its data and is
@@ -162,9 +175,8 @@ def _spectral_partial(arr: np.ndarray, axis: int, period: float, phase: int) -> 
 
 def _rolled(arr: np.ndarray, shift: int, axis: int, phase: int) -> np.ndarray:
     """Sample ``f[i + shift]`` with (anti)periodic wrap-around."""
-    out = np.roll(arr, -shift, axis=axis)
+    out = np.roll(arr, -shift, axis=axis)  # a fresh array
     if phase and shift:
-        out = out.copy()
         n = arr.shape[axis]
         sel = [slice(None), slice(None)]
         sel[axis] = slice(n - shift, n) if shift > 0 else slice(0, -shift)
@@ -201,6 +213,24 @@ def _measure_profiles(arrays, shape, phases=(0, 0)) -> tuple[np.ndarray, np.ndar
     return p0, p1
 
 
+def _reach(profile: np.ndarray) -> int:
+    """Distance in bins from the centre bin ``n//2`` of the farthest nonzero
+    bin of ``profile``, or -1 when it has none."""
+    nonzero = np.flatnonzero(profile)
+    if not nonzero.size:
+        return -1
+    h = profile.shape[0] // 2
+    return int(max(h - nonzero[0], nonzero[-1] - h))
+
+
+def _centre_conv(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """The in-band bins of the convolution of two mass profiles; equal to the
+    folded profile of :func:`_profile_conv` when no bin lies past the band."""
+    n = pa.shape[0]
+    h = n // 2
+    return np.convolve(pa, pb)[h:h + n].copy()
+
+
 def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Fold the convolution of two mass profiles back into the band.
 
@@ -219,6 +249,11 @@ def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float, fl
     folded[n - h:] += conv[:h]
     folded[:n - 1 - h] += conv[n + h:]
     return folded, wrapped, total
+
+
+def _wider(ra: tuple, rb: tuple) -> tuple:
+    """Reach of a sum: the larger reach on each axis."""
+    return (max(ra[0], rb[0]), max(ra[1], rb[1]))
 
 
 def _frozen(bank: dict) -> dict:
@@ -306,27 +341,30 @@ class GridScalar:
     The spectral profiles of caller data are always measured.
     """
 
-    __slots__ = ("grid", "phases", "coeffs", "profiles")
+    __slots__ = ("grid", "phases", "coeffs", "profiles", "reach")
 
     def __init__(self, grid: TorusGrid, coeffs=None, phases: tuple[int, int] = (0, 0)):
-        self._fill(grid, _clean_bank(coeffs or {}, grid.shape), phases, None)
+        self._fill(grid, _clean_bank(coeffs or {}, grid.shape), phases, None, None)
 
-    def _fill(self, grid, coeffs, phases, profiles):
+    def _fill(self, grid, coeffs, phases, profiles, reach):
         self.grid = grid
         self.phases = phases
         self.coeffs = coeffs
         if not coeffs:
             profiles = (np.zeros(grid.shape[0]), np.zeros(grid.shape[1]))
+            reach = (-1, -1)
         elif profiles is None:
             profiles = _measure_profiles(coeffs.values(), grid.shape, phases)
+            reach = (_reach(profiles[0]), _reach(profiles[1]))
         self.profiles = profiles
+        self.reach = reach
 
     @classmethod
-    def _made(cls, grid, coeffs, phases, profiles) -> "GridScalar":
+    def _made(cls, grid, coeffs, phases, profiles, reach) -> "GridScalar":
         """Result of the algebra; ``coeffs`` already holds the construction
         invariant, so none of the constructor's checks run."""
         self = object.__new__(cls)
-        self._fill(grid, coeffs, phases, profiles)
+        self._fill(grid, coeffs, phases, profiles, reach)
         return self
 
     # -- constructors ------------------------------------------------------
@@ -358,7 +396,8 @@ class GridScalar:
         coeffs.update({m | EPS: a for m, a in variation.coeffs.items()})
         return cls._made(value.grid, coeffs, value.phases,
                          (value.profiles[0] + variation.profiles[0],
-                          value.profiles[1] + variation.profiles[1]))
+                          value.profiles[1] + variation.profiles[1]),
+                         _wider(value.reach, variation.reach))
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -411,7 +450,8 @@ class GridScalar:
                 _keep(out, m, cur - arr if subtract else cur + arr)
         return GridScalar._made(self.grid, out, self.phases,
                                 (self.profiles[0] + other.profiles[0],
-                                 self.profiles[1] + other.profiles[1]))
+                                 self.profiles[1] + other.profiles[1]),
+                                _wider(self.reach, other.reach))
 
     def __add__(self, other):
         return self._combine(other, subtract=False)
@@ -420,7 +460,7 @@ class GridScalar:
 
     def __neg__(self):
         return GridScalar._made(self.grid, _kept((m, -a) for m, a in self.coeffs.items()),
-                                self.phases, self.profiles)
+                                self.phases, self.profiles, self.reach)
 
     def __sub__(self, other):
         return self._combine(other, subtract=True)
@@ -434,7 +474,8 @@ class GridScalar:
             return GridScalar.zeros(self.grid, self.phases)
         return GridScalar._made(self.grid, _kept((m, c * a) for m, a in self.coeffs.items()),
                                 self.phases,
-                                (abs(c) * self.profiles[0], abs(c) * self.profiles[1]))
+                                (abs(c) * self.profiles[0], abs(c) * self.profiles[1]),
+                                self.reach)
 
     def _lift(self, other):
         if isinstance(other, GridScalar):
@@ -446,12 +487,18 @@ class GridScalar:
     # -- graded product ----------------------------------------------------------
 
     def _guarded_profiles(self, other: "GridScalar"):
-        """Folded profiles of ``self * other``; raises
+        """Folded profiles and reaches of ``self * other``; raises
         :class:`AliasingDetected` when the product would alias."""
-        profiles = []
-        for axis in range(2):
-            folded, wrapped, total = _profile_conv(
-                self.profiles[axis], other.profiles[axis])
+        profiles, reach = [], []
+        for axis, n in enumerate(self.grid.shape):
+            pa, pb = self.profiles[axis], other.profiles[axis]
+            r = self.reach[axis] + other.reach[axis]
+            if r <= (n - 1) // 2:
+                # in band: the guard cannot trip and the fold adds only zeros
+                profiles.append(_centre_conv(pa, pb))
+                reach.append(r)
+                continue
+            folded, wrapped, total = _profile_conv(pa, pb)
             # the absolute deadband ignores wrap in products whose entire
             # spectral mass is already at round-off level
             if (self.grid.mode == "spectral" and wrapped > 1e-14
@@ -460,7 +507,8 @@ class GridScalar:
                     f"product pushes {wrapped:.3e} of {total:.3e} spectral mass "
                     f"past Nyquist along axis {axis}")
             profiles.append(folded)
-        return tuple(profiles)
+            reach.append(n // 2)
+        return tuple(profiles), tuple(reach)
 
     def __mul__(self, other):
         if isinstance(other, Number):
@@ -473,10 +521,10 @@ class GridScalar:
         phases = ((self.phases[0] + other.phases[0]) % 2,
                   (self.phases[1] + other.phases[1]) % 2)
         if not self.coeffs or not other.coeffs:
-            return GridScalar._made(self.grid, {}, phases, None)
-        profiles = self._guarded_profiles(other)
+            return GridScalar._made(self.grid, {}, phases, None, None)
+        profiles, reach = self._guarded_profiles(other)
         return GridScalar._made(self.grid, _kept(_products(self.coeffs, other.coeffs)),
-                                phases, profiles)
+                                phases, profiles, reach)
 
     def __rmul__(self, other):
         if isinstance(other, Number):
@@ -547,7 +595,7 @@ class GridScalar:
         dprof = list(self.profiles)
         dprof[axis] = (self.profiles[axis] * (2 * np.pi / period)
                        * _profile_weights(grid.shape[axis], phase))
-        return GridScalar._made(grid, value, self.phases, tuple(dprof))
+        return GridScalar._made(grid, value, self.phases, tuple(dprof), self.reach)
 
     def integral(self, gens: int = 8, weight: "GridScalar | None" = None):
         """Plain quadrature sum times the cell volume.

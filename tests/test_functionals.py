@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from supertorus.clifford import MajoranaSpinor, theta_insert
-from supertorus.fields import ModeSpec, frame_values_to_form, make_trig_field
+from supertorus.fields import ModeSpec, ParityMismatch, frame_values_to_form, make_trig_field
 from supertorus.functionals import (
+    ActionBreakdown,
     coupling_mixed,
     coupling_quartic,
     coupling_ruled_out,
@@ -13,7 +14,7 @@ from supertorus.functionals import (
     super_action,
 )
 from supertorus.geometry import FrameField, curvature_of_torsion, integrate
-from supertorus.grassmann import DualScalar, GeneratorMismatch
+from supertorus.grassmann import DualScalar, GeneratorMismatch, GrassmannElement
 from supertorus.grids import GridScalar, TorusGrid
 
 # each odd generator sits on two spinor slots; a lexicographically negative
@@ -214,3 +215,38 @@ def test_ruled_out_term_is_minus_half_the_quartic_invariant(frame, seed):
     assert (ruled_out + quartic * 0.5).max_abs() <= 1e-12
     shifted = coupling_ruled_out(_theta_shift(chi, s, e), psi, e)
     assert (shifted - ruled_out).max_abs() <= 1e-13
+
+
+def _weyl_moved(grid, phi, psi, chi, e, w_psi, w_chi):
+    """Largest change of any breakdown entry under the rescaling
+    ``e_k -> exp(-v) e_k``, ``psi -> exp(w_psi v) psi`` and
+    ``chi_mu -> exp(w_chi v) chi_mu`` with ``v = 0.07 cos 2 pi x``."""
+    x, _ = grid.coordinates()
+    v = GridScalar(grid, {0: 0.07 * np.cos(2 * np.pi * x / grid.periods[0])})
+    before = super_action(phi, psi, chi, e)
+    after = super_action(phi, psi.map(lambda c: v.scale(w_psi).exp() * c),
+                         chi.map(lambda c: v.scale(w_chi).exp() * c), e.rescaled(v))
+    return max((getattr(after, name) - getattr(before, name)).max_abs()
+               for name in ActionBreakdown.__dataclass_fields__)
+
+
+@pytest.mark.parametrize("eps", [False, True])
+def test_super_action_is_conformally_invariant(action_inputs, eps):
+    grid, phi, psi, chi, u, du = action_inputs
+    e = FrameField.conformal(grid, GridScalar.dual(u, du) if eps else u)
+    # the spinor carries conformal weight -1/2 and the gravitino's
+    # coordinate components +1/2
+    assert _weyl_moved(grid, phi, psi, chi, e, -0.5, 0.5) <= 1e-14
+    # wrong weights move the Dirac term (7.9e-3) or the mixed coupling (3.1e-4)
+    assert _weyl_moved(grid, phi, psi, chi, e, 0.5, -0.5) > 1e-3
+    assert _weyl_moved(grid, phi, psi, chi, e, -0.5, -0.5) > 1e-4
+
+
+def test_breakdown_rejects_an_odd_variation():
+    even, odd = GrassmannElement(4, {0b11: 1.0}), GrassmannElement(4, {0b1: 1.0})
+    zero = GrassmannElement.zero(4)
+    entries = dict.fromkeys(ActionBreakdown.__dataclass_fields__, zero)
+    ActionBreakdown(**{**entries, "dirac": DualScalar(even, even)})
+    for entry in (odd, DualScalar(odd, even), DualScalar(even, odd)):
+        with pytest.raises(ParityMismatch, match="dirac"):
+            ActionBreakdown(**{**entries, "dirac": entry})

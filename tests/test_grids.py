@@ -4,7 +4,8 @@ import pytest
 from supertorus.grassmann import (DualScalar, GeneratorMismatch, GrassmannElement,
                                   NoBody, mul_sign, random_element)
 from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid,
-                              _profile_conv, _spectral_partial, _spectral_tables)
+                              _fd_partial, _profile_conv, _spectral_partial,
+                              _spectral_tables)
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -472,3 +473,182 @@ def test_cancelling_results_drop_the_mask():
     psi = wave(g, (1, 0), amp=0.7, mask=0b1) + wave(g, (0, 1), amp=0.4, mask=0b10)
     assert psi.parity == 1 and (psi * psi).is_zero()
     assert (psi * psi).integral(2) == GrassmannElement.zero(2)
+
+
+def _fd_reference(arr, axis, period, phase, order):
+    """fd stencil with every shifted sample taken by ``np.take``; samples that
+    wrap around a twisted axis change sign."""
+    n = arr.shape[axis]
+    shape = [1, 1]
+    shape[axis] = n
+
+    def shifted(s):
+        idx = np.arange(n) + s
+        out = np.take(arr, idx % n, axis=axis)
+        if phase:
+            out = out * np.where((idx < 0) | (idx >= n), -1.0, 1.0).reshape(shape)
+        return out
+
+    h = period / n
+    if order == 2:
+        return (shifted(1) - shifted(-1)) / (2 * h)
+    return (-shifted(2) + 8 * shifted(1) - 8 * shifted(-1) + shifted(-2)) / (12 * h)
+
+
+@pytest.mark.parametrize("mode", ["fd2", "fd4"])
+def test_antiperiodic_fd_stencil_wraps_with_a_sign(mode):
+    g = TorusGrid((9, 8), periods=(2.0, 3.0), mode=mode)
+    order = 2 if mode == "fd2" else 4
+    arr = np.random.default_rng(7).standard_normal(g.shape)
+    before = arr.copy()
+    for phases in ((1, 0), (0, 1), (1, 1)):
+        f = GridScalar(g, {0b1: arr}, phases=phases)
+        for axis in range(2):
+            want = _fd_reference(arr, axis, g.periods[axis], phases[axis], order)
+            assert f.partial(axis).coeffs[0b1].tobytes() == want.tobytes(), (phases, axis)
+            assert _fd_partial(arr, axis, g.periods[axis], phases[axis], order).tobytes() \
+                == want.tobytes()
+            assert np.array_equal(arr, before)
+
+
+# -- reach of the spectral profiles -------------------------------------------
+
+
+def _support(profile):
+    """Distance from the centre bin of the farthest nonzero bin, or -1."""
+    n = profile.shape[0]
+    return int(np.abs(np.arange(n) - n // 2)[profile != 0].max(initial=-1))
+
+
+_PHASES = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _algebra_chain(g, seed, steps=120):
+    """Fields built from random waves (and, on fd grids, white noise, which
+    fills every bin) through a random chain of sums, differences, scalings,
+    partials, duals, products, inverses and exponentials.
+
+    Returns every field made along the way, internal ones included, and
+    every product with its factors."""
+    rng = np.random.default_rng(seed)
+    made, products = [], []
+    fill = GridScalar._fill
+
+    def recording_fill(self, *args):
+        fill(self, *args)
+        made.append(self)
+
+    def leaf(phases):
+        if g.mode != "spectral" and rng.random() < 0.3:
+            return GridScalar(g, {0: rng.standard_normal(g.shape)}, phases=phases)
+        if rng.random() < 0.2:
+            # mass in many bins, with a tail that decays fast enough for
+            # products of two of them to pass the guard
+            k = tuple(int(x) for x in rng.integers(0, 2, size=2))
+            return wave(g, k, amp=rng.uniform(0.05, 0.2), phases=phases).exp()
+        k = tuple(int(x) for x in rng.integers(0, 3, size=2))
+        return wave(g, k, amp=rng.uniform(0.1, 0.5), trig=("cos", "sin")[rng.integers(2)],
+                    mask=int(rng.choice([0, 0, 0b1, 0b10, 0b11, 0b100])), phases=phases)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(GridScalar, "_fill", recording_fill)
+        pool = [leaf(p) for p in _PHASES for _ in range(3)]
+        for _ in range(steps):
+            a = pool[rng.integers(len(pool))]
+            same = [f for f in pool if f.phases == a.phases]
+            b = same[rng.integers(len(same))]
+            op = rng.choice(["+", "-", "neg", "scale", "partial", "dual", "*",
+                             "inv", "exp", "leaf"], p=[.1, .1, .05, .1, .1, .05, .3,
+                                                       .05, .05, .1])
+            try:
+                if op == "+":
+                    out = a + b
+                elif op == "-":
+                    out = a - b
+                elif op == "neg":
+                    out = -a
+                elif op == "scale":
+                    out = a.scale(rng.choice([0.0, rng.uniform(-2, 2)]))
+                elif op == "partial":
+                    out = a.partial(int(rng.integers(2)))
+                elif op == "dual":
+                    if a.has_eps() or b.has_eps():
+                        continue
+                    out = GridScalar.dual(a, b)
+                elif op == "*":
+                    b = pool[rng.integers(len(pool))]
+                    out = a * b
+                    products.append((a, b, out))
+                elif op == "inv":
+                    if a.phases != (0, 0) or not a.max_abs():
+                        continue
+                    out = (a.scale(0.5 / a.max_abs()) + 1.0).inv()
+                elif op == "exp":
+                    body = GridScalar(g, {m: arr for m, arr in a.coeffs.items()
+                                          if not m or m & EPS}, phases=a.phases)
+                    out = body.scale(0.3 / max(body.max_abs(), 1.0)).exp()
+                else:
+                    out = leaf(_PHASES[rng.integers(4)])
+            except AliasingDetected:
+                continue
+            if 0 < out.max_abs() < 1e3:
+                pool.append(out)
+    return made, products
+
+
+_CHAIN_GRIDS = [("spectral", (16, 10)), ("spectral", (32, 32)), ("fd2", (9, 8)),
+                ("fd2", (12, 12)), ("fd4", (7, 11)), ("fd4", (10, 9))]
+
+
+@pytest.mark.parametrize("mode,shape", _CHAIN_GRIDS)
+def test_reach_bounds_the_profile_support(mode, shape):
+    g = TorusGrid(shape, periods=(2.0, 3.0), mode=mode)
+    made, _ = _algebra_chain(g, seed=sum(shape))
+    assert len(made) > 100
+    assert GridScalar.zeros(g).reach == (-1, -1)
+    tight = 0
+    for f in made:
+        if f.is_zero():
+            assert f.reach == (-1, -1)
+        for axis, n in enumerate(shape):
+            assert n // 2 >= f.reach[axis] >= _support(f.profiles[axis]), (f, axis)
+            tight += f.reach[axis] == _support(f.profiles[axis]) > 0
+    assert tight > len(made) // 2
+
+
+@pytest.mark.parametrize("mode,shape", _CHAIN_GRIDS)
+def test_product_profile_is_the_folded_convolution_bitwise(mode, shape):
+    g = TorusGrid(shape, periods=(2.0, 3.0), mode=mode)
+    _, products = _algebra_chain(g, seed=sum(shape) + 1)
+    paths = set()
+    for a, b, prod in products:
+        if prod.is_zero():
+            continue
+        for axis, n in enumerate(shape):
+            want = _profile_conv(a.profiles[axis], b.profiles[axis])[0]
+            assert prod.profiles[axis].tobytes() == want.tobytes(), (axis, a.reach, b.reach)
+            paths.add(a.reach[axis] + b.reach[axis] <= (n - 1) // 2)
+    assert paths == {True, False}
+
+
+@pytest.mark.parametrize("n", [8, 9, 32, 33])
+def test_reach_at_the_edge_of_the_band(n):
+    """Reaches adding up to ``n//2``: in band on an odd grid, but on an even
+    one the +Nyquist bin folds onto bin 0, the -Nyquist bin."""
+    g = TorusGrid((n, 8), mode="spectral" if n % 2 == 0 else "fd2")
+    h = n // 2
+    for ka in range(h + 1):
+        for kb in (h - ka, h - 1 - ka):
+            if kb < 0:
+                continue
+            a, b = wave(g, (ka, 0), mask=0b1), wave(g, (kb, 0), amp=0.5)
+            assert (a.reach, b.reach) == ((ka, 0), (kb, 0))
+            prod = a * b
+            want = _profile_conv(a.profiles[0], b.profiles[0])[0]
+            assert prod.profiles[0].tobytes() == want.tobytes(), (ka, kb)
+            assert prod.reach == (h if ka + kb == h else ka + kb, 0)
+            if n % 2 == 0 and ka + kb == h and 0 < ka < h:
+                # both Nyquist halves land on bin 0 (a Nyquist factor has
+                # only the -Nyquist one)
+                centre = np.convolve(a.profiles[0], b.profiles[0])[h]
+                assert prod.profiles[0][0] == 2 * centre > 0
