@@ -5,7 +5,7 @@ The package builds a small laboratory out of four layers:
 * ``grassmann`` -- a finite-dimensional real exterior algebra (anticommuting
   coefficients) plus a dual-number slot for exact first variations,
 * ``clifford`` -- the real rank-two spinor module of Cl(2,0) with its metric
-  and symplectic pairings, projectors and frame conventions,
+  and symplectic pairings, the spin-1/2 insertion and frame conventions,
 * ``grids``/``geometry`` -- spectral and finite-difference calculus on a
   periodic grid with a Grassmann-even zweibein,
 * ``fields``/``functionals`` -- the physical fields and the energy

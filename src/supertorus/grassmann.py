@@ -10,8 +10,9 @@ the structure the rest of the package relies on:
 * odd elements anticommute among themselves,
 * any element with vanishing empty-subset coefficient (``body``) is nilpotent.
 
-Coefficients may be ``float``, ``Fraction`` (the exact mode used by the
-pointwise algebra suites) or ``complex`` (test support for the Weyl split).
+Coefficients may be ``float`` or ``Fraction`` (the exact mode used by the
+pointwise algebra suites); ``complex`` ones are accepted like any scalar,
+but no layer of the package produces them.
 
 ``DualScalar`` adjoins one even deformation parameter ``eps`` with
 ``eps**2 = 0``; its second slot therefore carries exact first variations
@@ -207,14 +208,6 @@ class GrassmannElement:
         return GrassmannElement(
             self.gens, {m: c for m, c in self.coeffs.items() if m})
 
-    def parity_split(self) -> tuple["GrassmannElement", "GrassmannElement"]:
-        even: dict[int, object] = {}
-        odd: dict[int, object] = {}
-        for m, c in self.coeffs.items():
-            (odd if parity_of(m) else even)[m] = c
-        return (GrassmannElement(self.gens, even),
-                GrassmannElement(self.gens, odd))
-
     @property
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed or zero-ambiguous elements."""
@@ -254,11 +247,6 @@ class GrassmannElement:
     def __hash__(self):
         return hash((self.gens, frozenset(self.coeffs.items())))
 
-    def isclose(self, other, tol: float = 1e-12) -> bool:
-        other = self._lift(other)
-        diff = self - other
-        return diff.max_abs() <= tol
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -286,12 +274,6 @@ class DualScalar:
             raise GeneratorMismatch("value and variation use different generator counts")
         self.value = value
         self.variation = variation
-
-    @classmethod
-    def lift(cls, value) -> "DualScalar":
-        if isinstance(value, DualScalar):
-            return value
-        return cls(value)
 
     def _coerce(self, other) -> "DualScalar":
         if isinstance(other, DualScalar):

@@ -4,35 +4,30 @@ from fractions import Fraction
 
 from supertorus.clifford import (
     ACI,
+    GAMMA1,
+    GAMMA2,
     GAMMA12,
-    W_SPINOR,
-    WBAR_SPINOR,
-    DualSpinor,
     MajoranaSpinor,
     RingMismatch,
-    SpinorForm,
-    clifford_act,
-    decompose_form,
-    dual_to_spinor,
-    form_pair_metric,
-    from_weyl,
     mat_apply,
-    project_p,
-    project_q,
     quantize,
     spinor_pair,
-    spinor_square,
     symplectic_dual,
-    tensor_form,
     theta_insert,
-    weyl_split,
 )
+from supertorus.fields import quantize_frame_values, spin32_frame_values
 from supertorus.grassmann import GrassmannElement, random_element
 
 N = 8
 INV_SQRT2 = 2.0 ** -0.5
-THETA = (INV_SQRT2, 1j * INV_SQRT2)       # dual frame of (e1 - i e2)/sqrt(2)
+# Weyl frame w = (s1 - i s2)/sqrt(2), its conjugate, and the dual coframe of
+# (e1 - i e2)/sqrt(2) with its conjugate
+W = (INV_SQRT2, -1j * INV_SQRT2)
+WBAR = (INV_SQRT2, 1j * INV_SQRT2)
+THETA = (INV_SQRT2, 1j * INV_SQRT2)
 THETA_BAR = (INV_SQRT2, -1j * INV_SQRT2)
+# Frame values below use the action's layout vals[k][a]: spinor component a
+# of the gravitino evaluated on frame vector k.
 
 
 def spin(c1, c2):
@@ -46,38 +41,44 @@ def rand_spinor(rng, parity=None):
     ))
 
 
-def form_close(z, w, tol=1e-13):
-    for a in range(2):
-        for mu in range(2):
-            d = z.components[a][mu] - w.components[a][mu]
-            mag = abs(d) if not isinstance(d, GrassmannElement) else d.max_abs()
-            assert mag <= tol
+def rand_vals(rng):
+    return [[random_element(rng, N) for _ in range(2)] for _ in range(2)]
+
+
+def magnitude(x):
+    return x.max_abs() if isinstance(x, GrassmannElement) else abs(x)
+
+
+def assert_close(got, want, tol=1e-13):
+    """Entrywise closeness of equally nested sequences of ring elements."""
+    if isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w, tol)
+    else:
+        assert magnitude(got - want) <= tol
 
 
 def test_clifford_act_representation():
-    assert clifford_act((1.0, 0.0), spin(1.0, 0.0)).components == (1.0, 0.0)
-    assert clifford_act((0.0, 1.0), spin(1.0, 0.0)).components == (0.0, 1.0)
+    assert mat_apply(GAMMA1, (1.0, 0.0)) == (1.0, 0.0)
+    assert mat_apply(GAMMA2, (1.0, 0.0)) == (0.0, 1.0)
 
 
 def test_clifford_relation_orthogonal_anticommute():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        s = rand_spinor(rng)
-        g1g2 = clifford_act((1.0, 0.0), clifford_act((0.0, 1.0), s))
-        g2g1 = clifford_act((0.0, 1.0), clifford_act((1.0, 0.0), s))
-        for a, b in zip(g1g2.components, g2g1.components):
-            assert (a + b).max_abs() <= 1e-14
+        s = rand_spinor(rng).components
+        g1g2 = mat_apply(GAMMA1, mat_apply(GAMMA2, s))
+        g2g1 = mat_apply(GAMMA2, mat_apply(GAMMA1, s))
+        assert_close([a + b for a, b in zip(g1g2, g2g1)], [0, 0], tol=1e-14)
 
 
 def test_clifford_relation_squares_to_norm():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        alpha = tuple(rng.uniform(-1, 1, size=2))
-        s = rand_spinor(rng)
-        twice = clifford_act(alpha, clifford_act(alpha, s))
-        norm = alpha[0] ** 2 + alpha[1] ** 2
-        for out, inp in zip(twice.components, s.components):
-            assert (out - norm * inp).max_abs() <= 1e-13
+        s = rand_spinor(rng).components
+        for gamma in (GAMMA1, GAMMA2):
+            assert mat_apply(gamma, mat_apply(gamma, s)) == s
 
 
 def test_ring_mismatch():
@@ -86,8 +87,8 @@ def test_ring_mismatch():
 
 
 def test_quantize_on_simple_tensor():
-    z = tensor_form(spin(1.0, 0.0), (1.0, 0.0))  # s (x) e^1
-    assert quantize(z).components == (1.0, 0.0)
+    # s1 (x) e^1
+    assert quantize_frame_values([[1.0, 0.0], [0.0, 0.0]]) == [1.0, 0.0]
 
 
 def test_quantize_theta_insert_identity():
@@ -95,89 +96,84 @@ def test_quantize_theta_insert_identity():
     for _ in range(20):
         s = rand_spinor(rng)
         back = quantize(theta_insert(s))
-        for out, inp in zip(back.components, s.components):
-            assert (out - inp).max_abs() <= 1e-14
+        assert_close(back.components, s.components, tol=1e-14)
 
 
 def test_quantize_kills_q_image_pattern():
-    z = tensor_form(W_SPINOR, THETA_BAR)  # w (x) thetabar
-    out = quantize(z)
-    assert abs(out.components[0]) <= 1e-15
-    assert abs(out.components[1]) <= 1e-15
+    # w (x) thetabar
+    vals = [[co * x for x in W] for co in THETA_BAR]
+    assert_close(quantize_frame_values(vals), [0, 0], tol=1e-15)
 
 
 def test_theta_insert_explicit():
     z = theta_insert(spin(1.0, 0.0))
-    expected = SpinorForm(((0.5, 0.0), (0.0, 0.5)))
-    form_close(z, expected)
+    assert_close(z.components, ((0.5, 0.0), (0.0, 0.5)))
     zero = theta_insert(spin(0.0, 0.0))
-    form_close(zero, SpinorForm(((0.0, 0.0), (0.0, 0.0))))
+    assert_close(zero.components, ((0.0, 0.0), (0.0, 0.0)))
 
 
 def test_projector_algebra():
+    # P chi = theta(quantize(chi)) and Q = 1 - P, as the action splits them
     rng = np.random.default_rng(3)
     for _ in range(40):
-        z = SpinorForm(tuple(
-            tuple(random_element(rng, N) for _ in range(2)) for _ in range(2)))
-        p = project_p(z)
-        q = project_q(z)
-        for a in range(2):
-            for mu in range(2):
-                assert (p.components[a][mu] + q.components[a][mu]
-                        - z.components[a][mu]).max_abs() <= 1e-14
-                assert (project_p(p).components[a][mu]
-                        - p.components[a][mu]).max_abs() <= 1e-14
-                assert (project_q(q).components[a][mu]
-                        - q.components[a][mu]).max_abs() <= 1e-14
-                assert project_p(q).components[a][mu].max_abs() <= 1e-14
-                assert project_q(p).components[a][mu].max_abs() <= 1e-14
+        vals = rand_vals(rng)
+        s = quantize_frame_values(vals)
+        q = spin32_frame_values(vals, s)
+        half = theta_insert(MajoranaSpinor(tuple(s))).components
+        p = [[half[a][k] for a in range(2)] for k in range(2)]
+        assert_close([[p[k][a] + q[k][a] for a in range(2)] for k in range(2)],
+                     vals, tol=1e-14)
+        assert_close(quantize_frame_values(p), s, tol=1e-14)   # PP = P
+        assert_close(spin32_frame_values(p, s), [[0, 0], [0, 0]], tol=1e-14)  # QP = 0
+        q_of_q = quantize_frame_values(q)
+        assert_close(q_of_q, [0, 0], tol=1e-14)                  # PQ = 0
+        assert_close(spin32_frame_values(q, q_of_q), q, tol=1e-14)  # QQ = Q
 
 
 def test_projectors_exact_in_rational_mode():
-    z = SpinorForm((
-        (GrassmannElement(N, {0: Fraction(2, 3)}), GrassmannElement(N, {0b1: Fraction(5, 7)})),
-        (GrassmannElement(N, {0b10: Fraction(-1, 2)}), GrassmannElement(N, {0: Fraction(4, 9)})),
-    ))
-    p = project_p(z)
-    q = project_q(z)
-    for a in range(2):
-        for mu in range(2):
-            assert p.components[a][mu] + q.components[a][mu] == z.components[a][mu]
-            assert project_p(p).components[a][mu] == p.components[a][mu]
-            assert project_q(p).components[a][mu] == GrassmannElement.zero(N)
+    # vals[k][a] = z[a][k] for z = ((2/3, 5/7 g0), (-1/2 g1, 4/9))
+    vals = [
+        [GrassmannElement(N, {0: Fraction(2, 3)}), GrassmannElement(N, {0b10: Fraction(-1, 2)})],
+        [GrassmannElement(N, {0b1: Fraction(5, 7)}), GrassmannElement(N, {0: Fraction(4, 9)})],
+    ]
+    s = quantize_frame_values(vals)
+    q = spin32_frame_values(vals, s)
+    half = theta_insert(MajoranaSpinor(tuple(s))).components
+    assert any(c != 0 for row in q for c in row)
+    for k in range(2):
+        for a in range(2):
+            assert half[a][k] + q[k][a] == vals[k][a]
+    p = [[half[a][k] for a in range(2)] for k in range(2)]
+    assert quantize_frame_values(p) == s
+    q_of_q = quantize_frame_values(q)
+    assert q_of_q == [GrassmannElement.zero(N)] * 2
+    assert spin32_frame_values(q, q_of_q) == q
+    assert spin32_frame_values(p, s) == [[GrassmannElement.zero(N)] * 2] * 2
 
 
 def test_projectors_self_adjoint():
     rng = np.random.default_rng(4)
     for _ in range(40):
-        z = SpinorForm(tuple(tuple(float(rng.uniform(-1, 1)) for _ in range(2))
-                             for _ in range(2)))
-        w = SpinorForm(tuple(tuple(float(rng.uniform(-1, 1)) for _ in range(2))
-                             for _ in range(2)))
-        assert abs(form_pair_metric(project_p(z), w)
-                   - form_pair_metric(z, project_p(w))) <= 1e-14
-        assert abs(form_pair_metric(project_q(z), w)
-                   - form_pair_metric(z, project_q(w))) <= 1e-14
+        z, w = ([[float(rng.uniform(-1, 1)) for _ in range(2)] for _ in range(2)]
+                for _ in range(2))
+        qz = spin32_frame_values(z, quantize_frame_values(z))
+        qw = spin32_frame_values(w, quantize_frame_values(w))
+        lhs = sum(qz[k][a] * w[k][a] for k in range(2) for a in range(2))
+        rhs = sum(z[k][a] * qw[k][a] for k in range(2) for a in range(2))
+        assert abs(lhs - rhs) <= 1e-14
 
 
 def test_image_characterization():
     # spin-1/2 image is spanned by {w(x)theta, wbar(x)thetabar},
     # spin-3/2 image by {w(x)thetabar, wbar(x)theta}
-    for s, co in ((W_SPINOR, THETA), (WBAR_SPINOR, THETA_BAR)):
-        z = tensor_form(s, co)
-        form_close(project_p(z), z, tol=1e-14)
-        form_close(project_q(z), tensor_form(spin(0j, 0j), (0.0, 0.0)), tol=1e-14)
-    for s, co in ((W_SPINOR, THETA_BAR), (WBAR_SPINOR, THETA)):
-        z = tensor_form(s, co)
-        form_close(project_q(z), z, tol=1e-14)
-
-
-def test_frame_square_covers_tangent_frame():
-    v = spinor_square(W_SPINOR, W_SPINOR)
-    assert abs(v[0] - INV_SQRT2) <= 1e-14
-    assert abs(v[1] + 1j * INV_SQRT2) <= 1e-14
-    cross = spinor_square(W_SPINOR, WBAR_SPINOR)
-    assert abs(cross[0]) <= 1e-14 and abs(cross[1]) <= 1e-14
+    for s, co in ((W, THETA), (WBAR, THETA_BAR)):
+        vals = [[co[k] * s[a] for a in range(2)] for k in range(2)]
+        assert_close(spin32_frame_values(vals, quantize_frame_values(vals)),
+                     [[0, 0], [0, 0]], tol=1e-14)
+    for s, co in ((W, THETA_BAR), (WBAR, THETA)):
+        vals = [[co[k] * s[a] for a in range(2)] for k in range(2)]
+        assert_close(spin32_frame_values(vals, quantize_frame_values(vals)),
+                     vals, tol=1e-14)
 
 
 def test_metric_pair_example():
@@ -190,23 +186,23 @@ def test_symplectic_normalization():
 
 def test_symplectic_skewness_of_clifford_action():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        alpha = tuple(rng.uniform(-1, 1, size=2))
+    for _ in range(50):
         s = rand_spinor(rng, parity=1)
         t = rand_spinor(rng, parity=1)
-        total = (spinor_pair("symplectic", s, clifford_act(alpha, t))
-                 + spinor_pair("symplectic", clifford_act(alpha, s), t))
-        assert total.max_abs() <= 1e-14
+        for gamma in (GAMMA1, GAMMA2):
+            total = (spinor_pair("symplectic", s, spin(*mat_apply(gamma, t.components)))
+                     + spinor_pair("symplectic", spin(*mat_apply(gamma, s.components)), t))
+            assert total.max_abs() <= 1e-14
 
 
 def test_metric_symmetry_of_clifford_action():
     rng = np.random.default_rng(6)
-    for _ in range(100):
-        alpha = tuple(rng.uniform(-1, 1, size=2))
+    for _ in range(50):
         s, t = rand_spinor(rng), rand_spinor(rng)
-        diff = (spinor_pair("metric", s, clifford_act(alpha, t))
-                - spinor_pair("metric", clifford_act(alpha, s), t))
-        assert diff.max_abs() <= 1e-14
+        for gamma in (GAMMA1, GAMMA2):
+            diff = (spinor_pair("metric", s, spin(*mat_apply(gamma, t.components)))
+                    - spinor_pair("metric", spin(*mat_apply(gamma, s.components)), t))
+            assert diff.max_abs() <= 1e-14
 
 
 def test_odd_pair_exchange_signs():
@@ -225,83 +221,60 @@ def test_symplectic_dual_frame_images():
     assert symplectic_dual(spin(0.0, 1.0)).components == (-1.0, 0.0)  # s2 -> -s^1
 
 
-def test_symplectic_dual_pairing_convention():
-    # evaluation of dualised frame spinors on de-dualised dual frame spinors
-    # is -delta
-    dual_frame = (DualSpinor((1.0, 0.0)), DualSpinor((0.0, 1.0)))
-    frame = (spin(1.0, 0.0), spin(0.0, 1.0))
-    for k in range(2):
-        for l in range(2):
-            value = symplectic_dual(frame[k])(dual_to_spinor(dual_frame[l]))
-            assert value == (-1.0 if k == l else 0.0)
-
-
-def test_dual_round_trip_is_identity():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        s = rand_spinor(rng)
-        back = dual_to_spinor(symplectic_dual(s))
-        for out, inp in zip(back.components, s.components):
-            assert (out - inp).max_abs() <= 1e-15
-
-
 def test_weyl_split_examples():
-    zw, zb = weyl_split(spin(1.0 + 0j, 0j))
-    assert abs(zw - INV_SQRT2) <= 1e-14 and abs(zb - INV_SQRT2) <= 1e-14
-    zw, zb = weyl_split(W_SPINOR)
-    assert abs(zw - 1.0) <= 1e-14 and abs(zb) <= 1e-14
+    # s1 = (w + wbar)/sqrt(2) and s2 = i (w - wbar)/sqrt(2)
+    assert_close([(x + y) * INV_SQRT2 for x, y in zip(W, WBAR)], [1, 0], tol=1e-15)
+    assert_close([1j * (x - y) * INV_SQRT2 for x, y in zip(W, WBAR)], [0, 1], tol=1e-15)
 
 
 def test_weyl_split_diagonalises_aci():
+    assert_close(mat_apply(ACI, W), [1j * x for x in W], tol=1e-15)
+    assert_close(mat_apply(ACI, WBAR), [-1j * x for x in WBAR], tol=1e-15)
     rng = np.random.default_rng(9)
     for _ in range(20):
-        s = MajoranaSpinor(tuple(complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                                 for _ in range(2)))
-        zw, zb = weyl_split(s)
-        rw, rb = weyl_split(MajoranaSpinor(mat_apply(ACI, s.components)))
-        assert abs(rw - 1j * zw) <= 1e-13
-        assert abs(rb + 1j * zb) <= 1e-13
-        back = from_weyl(zw, zb)
-        for out, inp in zip(back.components, s.components):
-            assert abs(out - inp) <= 1e-13
+        zw, zb = (complex(*rng.uniform(-1, 1, size=2)) for _ in range(2))
+        s = tuple(zw * x + zb * y for x, y in zip(W, WBAR))
+        want = [1j * zw * x - 1j * zb * y for x, y in zip(W, WBAR)]
+        assert_close(mat_apply(ACI, s), want)
 
 
 def test_weyl_split_real_input_conjugate_pair():
-    zw, zb = weyl_split(spin(0.3 + 0j, -1.2 + 0j))
-    assert abs(zb - zw.conjugate()) <= 1e-14
+    # wbar is the conjugate of w, so conjugate Weyl coefficients give a real spinor
+    assert WBAR == tuple(x.conjugate() for x in W)
+    zw = 0.3 - 1.2j
+    s = [zw * x + zw.conjugate() * y for x, y in zip(W, WBAR)]
+    assert max(abs(c.imag) for c in s) <= 1e-15
 
 
 def test_decompose_form_examples():
-    z = tensor_form(spin(1.0, 0.0), (1.0, 0.0))
-    s, gpart = decompose_form(z)
-    assert s.components == (1.0, 0.0)
-    form_close(gpart, SpinorForm(((0.5, 0.0), (0.0, -0.5))))
-    back = quantize(gpart)
-    assert abs(back.components[0]) <= 1e-15 and abs(back.components[1]) <= 1e-15
-    pg = project_p(gpart)
-    for a in range(2):
-        for mu in range(2):
-            assert abs(pg.components[a][mu]) <= 1e-15
+    # s1 (x) e^1 = theta(s1) + g with quantize(g) = 0
+    vals = [[1.0, 0.0], [0.0, 0.0]]
+    s = quantize_frame_values(vals)
+    assert s == [1.0, 0.0]
+    g = spin32_frame_values(vals, s)
+    assert_close(g, [[0.5, 0.0], [0.0, -0.5]])
+    g_s = quantize_frame_values(g)
+    assert_close(g_s, [0, 0], tol=1e-15)
+    assert_close(spin32_frame_values(g, g_s), g, tol=1e-15)
 
-    s0 = spin(0.7, -0.2)
-    s_back, g_back = decompose_form(theta_insert(s0))
-    assert abs(s_back.components[0] - 0.7) <= 1e-15
-    for a in range(2):
-        for mu in range(2):
-            assert abs(g_back.components[a][mu]) <= 1e-15
+    half = theta_insert(spin(0.7, -0.2)).components
+    vals = [[half[a][k] for a in range(2)] for k in range(2)]
+    s = quantize_frame_values(vals)
+    assert_close(s, [0.7, -0.2], tol=1e-15)
+    assert_close(spin32_frame_values(vals, s), [[0, 0], [0, 0]], tol=1e-15)
 
-    s_z, g_z = decompose_form(tensor_form(spin(0.0, 0.0), (0.0, 0.0)))
-    assert s_z.components == (0.0, 0.0)
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    assert quantize_frame_values(zero) == [0.0, 0.0]
 
 
 def test_parity_transport():
     rng = np.random.default_rng(10)
     for _ in range(20):
         s = rand_spinor(rng, parity=1)
-        for op in (lambda x: clifford_act((0.3, -0.8), x),
-                   lambda x: quantize(theta_insert(x))):
-            out = op(s)
-            for c in out.components:
+        outs = [mat_apply(gamma, s.components) for gamma in (GAMMA1, GAMMA2, GAMMA12)]
+        outs.append(quantize(theta_insert(s)).components)
+        for out in outs:
+            for c in out:
                 assert c.parity in (1, 0) and (c.parity == 1 or not c.coeffs)
         pair = spinor_pair("symplectic", s, s)
         assert pair.parity in (0, None) and pair.parity == 0
@@ -309,8 +282,6 @@ def test_parity_transport():
 
 def test_gamma12_matches_matrix_product():
     rng = np.random.default_rng(11)
-    s = rand_spinor(rng)
-    via_acts = clifford_act((1.0, 0.0), clifford_act((0.0, 1.0), s))
-    direct = mat_apply(GAMMA12, s.components)
-    for a, b in zip(via_acts.components, direct):
-        assert (a - b).max_abs() <= 1e-15
+    s = rand_spinor(rng).components
+    assert_close(mat_apply(GAMMA1, mat_apply(GAMMA2, s)), mat_apply(GAMMA12, s),
+                 tol=1e-15)

@@ -133,11 +133,13 @@ def test_f_squared_is_the_curvature_square_over_the_density(action_inputs):
     assert (got - want).max_abs() <= 1e-13 * want.max_abs()
 
 
-def _theta_shift(chi, s, e):
-    """``chi + theta(s)``: the spin-1/2 insertion of ``s`` through the frame."""
+def _theta_shift(chi, s, e, swapped=False):
+    """``chi + theta(s)``: the spin-1/2 insertion of ``s`` through the frame;
+    with ``swapped`` the insertion's frame index is swapped, which is not a
+    ``theta(s)`` direction."""
     form = theta_insert(MajoranaSpinor(tuple(s.comps))).components
     theta = frame_values_to_form(
-        [[form[a][k] for a in range(2)] for k in range(2)], e)
+        [[form[a][1 - k if swapped else k] for a in range(2)] for k in range(2)], e)
     return chi.plus(theta)
 
 
@@ -173,6 +175,20 @@ def test_mixed_coupling_is_super_weyl_invariant(action_inputs):
     after = coupling_mixed(_theta_shift(chi, s, e), phi, psi, e)
     assert before.max_abs() > 1e-2
     assert (after - before).max_abs() <= 1e-13
+
+
+@pytest.mark.parametrize("eps", [False, True])
+def test_super_action_total_is_super_weyl_invariant(action_inputs, eps):
+    grid, phi, psi, chi, u, du = action_inputs
+    e = FrameField.conformal(grid, GridScalar.dual(u, du) if eps else u)
+    s = _shift_spinor(grid, np.random.default_rng(1))
+    before = super_action(phi, psi, chi, e).total
+    shifted, swapped = (super_action(phi, psi, _theta_shift(chi, s, e, swap), e).total
+                        for swap in (False, True))
+    assert before.max_abs() > 1.0
+    assert (shifted - before).max_abs() <= 1e-13
+    # the swapped insertion moves the total by 0.038
+    assert (swapped - before).max_abs() > 1e-2
 
 
 @pytest.mark.parametrize("frame", ["flat", "conformal"])
@@ -217,12 +233,17 @@ def test_ruled_out_term_is_minus_half_the_quartic_invariant(frame, seed):
     assert (shifted - ruled_out).max_abs() <= 1e-13
 
 
+def _weyl_factor(grid):
+    """``v = 0.07 cos 2 pi x``, the conformal factor of the Weyl checks."""
+    x, _ = grid.coordinates()
+    return GridScalar(grid, {0: 0.07 * np.cos(2 * np.pi * x / grid.periods[0])})
+
+
 def _weyl_moved(grid, phi, psi, chi, e, w_psi, w_chi):
     """Largest change of any breakdown entry under the rescaling
     ``e_k -> exp(-v) e_k``, ``psi -> exp(w_psi v) psi`` and
-    ``chi_mu -> exp(w_chi v) chi_mu`` with ``v = 0.07 cos 2 pi x``."""
-    x, _ = grid.coordinates()
-    v = GridScalar(grid, {0: 0.07 * np.cos(2 * np.pi * x / grid.periods[0])})
+    ``chi_mu -> exp(w_chi v) chi_mu`` with ``v`` from :func:`_weyl_factor`."""
+    v = _weyl_factor(grid)
     before = super_action(phi, psi, chi, e)
     after = super_action(phi, psi.map(lambda c: v.scale(w_psi).exp() * c),
                          chi.map(lambda c: v.scale(w_chi).exp() * c), e.rescaled(v))
@@ -240,6 +261,28 @@ def test_super_action_is_conformally_invariant(action_inputs, eps):
     # wrong weights move the Dirac term (7.9e-3) or the mixed coupling (3.1e-4)
     assert _weyl_moved(grid, phi, psi, chi, e, 0.5, -0.5) > 1e-3
     assert _weyl_moved(grid, phi, psi, chi, e, -0.5, -0.5) > 1e-4
+
+
+def _weyl_variation(grid, phi, psi, chi, u, w_psi, w_chi):
+    """``eps`` slot of the total when the frame ``exp(-u)`` varies as
+    ``e_k -> (1 - eps v) e_k``, ``psi -> (1 + eps w_psi v) psi`` and
+    ``chi_mu -> (1 + eps w_chi v) chi_mu``."""
+    v = _weyl_factor(grid)
+
+    def seeded(weight):
+        return lambda c: c if c.is_zero() else GridScalar.dual(c, (v * c).scale(weight))
+
+    e = FrameField.conformal(grid, GridScalar.dual(u, v))
+    return super_action(phi, psi.map(seeded(w_psi)), chi.map(seeded(w_chi)),
+                        e).total.variation.max_abs()
+
+
+def test_super_action_is_infinitesimally_conformally_invariant(action_inputs):
+    grid, phi, psi, chi, u, _ = action_inputs
+    assert _weyl_variation(grid, phi, psi, chi, u, -0.5, 0.5) <= 1e-14
+    # wrong weights leave 7.9e-3 and 3.1e-4 in the eps slot
+    assert _weyl_variation(grid, phi, psi, chi, u, 0.5, -0.5) > 1e-3
+    assert _weyl_variation(grid, phi, psi, chi, u, -0.5, -0.5) > 1e-4
 
 
 def test_breakdown_rejects_an_odd_variation():

@@ -10,7 +10,6 @@ from supertorus.grassmann import (
     GrassmannElement,
     NoBody,
     mul_sign,
-    parity_of,
     random_element,
 )
 
@@ -61,17 +60,6 @@ def test_inverse_kills_nilpotent_tail():
 def test_inverse_without_body_raises():
     with pytest.raises(NoBody):
         g(0).inverse()
-
-
-def test_parity_split():
-    x = one(3.0) + g(0) + GrassmannElement.monomial([0, 1], N, 2.0)
-    even, odd = x.parity_split()
-    assert even == one(3.0) + GrassmannElement.monomial([0, 1], N, 2.0)
-    assert odd == g(0)
-    zero_even, zero_odd = GrassmannElement.zero(N).parity_split()
-    assert zero_even == 0 and zero_odd == 0
-    triple = GrassmannElement.monomial([0, 1, 2], N)
-    assert triple.parity_split() == (GrassmannElement.zero(N), triple)
 
 
 def test_dual_mul_eps_squares_away():
@@ -184,15 +172,6 @@ def test_hypothesis_distributivity(a, b, c):
 @settings(max_examples=200, deadline=None)
 def test_hypothesis_addition_commutes(a, b):
     assert a + b == b + a
-
-
-@given(small_elements)
-@settings(max_examples=200, deadline=None)
-def test_hypothesis_parity_split_reassembles(a):
-    even, odd = a.parity_split()
-    assert even + odd == a
-    assert all(parity_of(m) == 0 for m in even.coeffs)
-    assert all(parity_of(m) == 1 for m in odd.coeffs)
 
 
 def test_fraction_coefficients_stay_exact():

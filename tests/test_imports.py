@@ -1,6 +1,9 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, every private
+helper of the package has a caller, and every console script resolves."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,77 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "supertorus").glob("*.py"))
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Top-level ``_name`` definitions (function, class or assignment) that
+    no other top-level statement of any of ``sources`` refers to."""
+    defined, statements = [], []
+    for fname, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(stmt.name)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names.update(n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name))
+            defined += [(fname, name, stmt) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+            refs = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    refs.update(alias.name for alias in node.names)
+                refs.update(_annotation_names(node))
+            statements.append((stmt, refs))
+    return sorted(f"{fname}: {name}" for fname, name, owner in defined
+                  if not any(name in refs for stmt, refs in statements if stmt is not owner))
+
+
+def test_scan_flags_an_orphaned_private_helper():
+    src = ("_A = 1\n_B = 2\n__all__ = []\n"
+           "def _f(): return _f()\ndef _g(): pass\ndef h(): return _A + _g()\n")
+    assert orphaned_privates({"m.py": src, "n.py": "from m import _B\n"}) == [
+        "m.py: _f"]
+
+
+def test_no_orphaned_private_helpers():
+    assert orphaned_privates({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def console_scripts(pyproject: str) -> dict[str, str]:
+    """``name = "module:function"`` lines of the ``[project.scripts]`` table."""
+    table = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    return dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]*)"', table.group(1), re.M)
+                if table else ())
+
+
+def resolve(target: str):
+    module, _, attr = target.partition(":")
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_console_script_scan():
+    text = ('[project]\nname = "x"\n\n[project.scripts]\nverify = "supertorus.cli:main"\n'
+            'other-tool = "a.b:c.d"\n\n[tool.x]\nkey = "m:f"\n')
+    assert console_scripts(text) == {"verify": "supertorus.cli:main",
+                                     "other-tool": "a.b:c.d"}
+    assert console_scripts('[project]\nname = "x"\n') == {}
+    assert callable(resolve("supertorus.clifford:mat_apply"))
+    with pytest.raises(ModuleNotFoundError):
+        resolve("supertorus.no_such_module:main")
+
+
+def test_console_scripts_resolve():
+    for name, target in console_scripts((ROOT / "pyproject.toml").read_text()).items():
+        assert callable(resolve(target)), name
