@@ -257,11 +257,6 @@ def gravitino_split(chi: GravitinoField, e: FrameField):
     return SpinorField(s), frame_values_to_form(spin32_frame_values(vals, s), e)
 
 
-def q_part(chi: GravitinoField, e: FrameField) -> GravitinoField:
-    """Spin-3/2 projection of a gravitino as a coordinate one-form."""
-    return gravitino_split(chi, e)[1]
-
-
 def quantize_frame_values(vals):
     """``gamma^k chi(e_k)`` on frame-indexed spinor values ``vals[k][a]``."""
     form = SpinorForm(tuple((vals[0][a], vals[1][a]) for a in range(2)))

@@ -268,6 +268,10 @@ class DualScalar:
     __slots__ = ("value", "variation")
 
     def __init__(self, value: GrassmannElement, variation: GrassmannElement | None = None):
+        if not (isinstance(value, GrassmannElement)
+                and isinstance(variation, (GrassmannElement, type(None)))):
+            raise TypeError("DualScalar takes GrassmannElement value and variation, got "
+                            f"{type(value).__name__} and {type(variation).__name__}")
         if variation is None:
             variation = GrassmannElement.zero(value.gens)
         if value.gens != variation.gens:

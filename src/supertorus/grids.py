@@ -43,7 +43,9 @@ trip.  Profiles are nonnegative, so every bin beyond that sum is exactly
 +0.0 and the fold would only add zeros: such a product skips the guard's
 mass sums and the fold, takes the centre of the convolution as its
 profile, bitwise what the fold gives, and reaches the sum.  Any other
-product runs the guard and the fold, and reaches ``n//2``.
+product runs the guard and the fold, and reaches ``n//2``; its total mass
+is summed only past the 1e-14 deadband of the wrapped mass.  With a
+``weight``, :meth:`GridScalar.integral` only checks and builds no profile.
 
 Construction invariant
 ----------------------
@@ -53,7 +55,9 @@ shape, a frozen owned float64 copy where needed, and zero arrays dropped.
 Results of the algebra (sums, products, scalings, partials, :meth:`dual`,
 negation) skip that validation and zero-test only the arrays the operation
 computed; an array carried over unchanged from an operand already holds the
-invariant.  A product or sum with an empty operand does no array work at
+invariant.  The zero test reads one sample off the grid's symmetry lines
+and scans the array only when it is zero, so it decides as ``arr.any()``.
+A product or sum with an empty operand does no array work at
 all, and :meth:`GridScalar.integral` with a ``weight`` integrates a product
 without storing it.
 """
@@ -185,11 +189,23 @@ def _rolled(arr: np.ndarray, shift: int, axis: int, phase: int) -> np.ndarray:
 
 
 def _fd_partial(arr, axis, period, phase, order) -> np.ndarray:
+    """Central difference of order 2 or 4, in place in a fresh shifted sample:
+    the operations of ``(-f2 + 8 f1 - 8 f-1 + f-2) / 12h`` in Python's order."""
     h = period / arr.shape[axis]
     if order == 2:
-        return (_rolled(arr, 1, axis, phase) - _rolled(arr, -1, axis, phase)) / (2 * h)
-    return (-_rolled(arr, 2, axis, phase) + 8 * _rolled(arr, 1, axis, phase)
-            - 8 * _rolled(arr, -1, axis, phase) + _rolled(arr, -2, axis, phase)) / (12 * h)
+        out = _rolled(arr, 1, axis, phase)
+        out -= _rolled(arr, -1, axis, phase)
+        return np.divide(out, 2 * h, out=out)
+    out = _rolled(arr, 2, axis, phase)
+    np.negative(out, out=out)
+    term = _rolled(arr, 1, axis, phase)
+    term *= 8
+    out += term
+    term = _rolled(arr, -1, axis, phase)
+    term *= 8
+    out -= term
+    out += _rolled(arr, -2, axis, phase)
+    return np.divide(out, 12 * h, out=out)
 
 
 def _measure_profiles(arrays, shape, phases=(0, 0)) -> tuple[np.ndarray, np.ndarray]:
@@ -231,24 +247,24 @@ def _centre_conv(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.convolve(pa, pb)[h:h + n].copy()
 
 
-def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Fold the convolution of two mass profiles back into the band.
-
-    Returns (folded profile, out-of-band mass, total mass).  Profile index i
-    represents integer frequency ``i - n//2``.
-    """
-    n = pa.shape[0]
-    h = n // 2
-    conv = np.convolve(pa, pb)  # index i is frequency i - 2h
+def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float]:
+    """The convolution of two mass profiles and its mass past the band.
+    Profile bin i is frequency ``i - n//2``, convolution bin i ``i - 2*(n//2)``."""
+    h = pa.shape[0] // 2
+    conv = np.convolve(pa, pb)
     # frequencies -h..h are representable (for even n the unpaired Nyquist
     # bin); only content beyond them folds onto foreign frequencies
-    total = float(conv.sum())
-    wrapped = float(conv[:h].sum() + conv[3 * h + 1:].sum())
+    return conv, float(conv[:h].sum() + conv[3 * h + 1:].sum())
+
+
+def _fold(conv: np.ndarray, n: int) -> np.ndarray:
+    """Fold a convolution of :func:`_profile_conv` back into the band."""
+    h = n // 2
     # frequency k lands on bin (k + h) mod n
     folded = conv[h:h + n].copy()
     folded[n - h:] += conv[:h]
     folded[:n - 1 - h] += conv[n + h:]
-    return folded, wrapped, total
+    return folded
 
 
 def _wider(ra: tuple, rb: tuple) -> tuple:
@@ -263,11 +279,18 @@ def _frozen(bank: dict) -> dict:
     return bank
 
 
+def _nonzero(arr: np.ndarray) -> bool:
+    """``arr.any()``, decided by one sample off the grid's symmetry lines
+    unless that sample is zero (or -0.0)."""
+    n0, n1 = arr.shape
+    return arr.item((n0 // 3) * n1 + n1 // 5) != 0.0 or bool(arr.any())
+
+
 def _keep(bank: dict, mask: int, arr: np.ndarray):
     """Store an array an operation computed, frozen, or drop ``mask`` if the
     array is zero (disjoint supports, cancellation and underflow all give
     exact zeros)."""
-    if arr.any():
+    if _nonzero(arr):
         arr.flags.writeable = False
         bank[mask] = arr
     else:
@@ -327,7 +350,7 @@ def _clean_bank(bank, shape) -> dict[int, np.ndarray]:
         arr = _owned(arr)
         if arr.shape != shape:
             raise ShapeMismatch(f"array shape {arr.shape} != grid {shape}")
-        if arr.any():
+        if _nonzero(arr):
             out[mask] = arr
     return out
 
@@ -402,7 +425,7 @@ class GridScalar:
     # -- bookkeeping ---------------------------------------------------------
 
     def _check_compatible(self, other: "GridScalar"):
-        if self.grid != other.grid:
+        if self.grid is not other.grid and self.grid != other.grid:
             raise ShapeMismatch("fields live on different grids")
         if self.phases != other.phases:
             raise ShapeMismatch(
@@ -486,29 +509,27 @@ class GridScalar:
 
     # -- graded product ----------------------------------------------------------
 
-    def _guarded_profiles(self, other: "GridScalar"):
-        """Folded profiles and reaches of ``self * other``; raises
+    def _guard(self, other: "GridScalar") -> list:
+        """Per axis the convolution of the factors' profiles, or None where
+        their reaches keep ``self * other`` in band; raises
         :class:`AliasingDetected` when the product would alias."""
-        profiles, reach = [], []
+        convs = []
         for axis, n in enumerate(self.grid.shape):
-            pa, pb = self.profiles[axis], other.profiles[axis]
-            r = self.reach[axis] + other.reach[axis]
-            if r <= (n - 1) // 2:
+            if self.reach[axis] + other.reach[axis] <= (n - 1) // 2:
                 # in band: the guard cannot trip and the fold adds only zeros
-                profiles.append(_centre_conv(pa, pb))
-                reach.append(r)
+                convs.append(None)
                 continue
-            folded, wrapped, total = _profile_conv(pa, pb)
+            conv, wrapped = _profile_conv(self.profiles[axis], other.profiles[axis])
             # the absolute deadband ignores wrap in products whose entire
             # spectral mass is already at round-off level
-            if (self.grid.mode == "spectral" and wrapped > 1e-14
-                    and wrapped > self.grid.alias_tol * total):
-                raise AliasingDetected(
-                    f"product pushes {wrapped:.3e} of {total:.3e} spectral mass "
-                    f"past Nyquist along axis {axis}")
-            profiles.append(folded)
-            reach.append(n // 2)
-        return tuple(profiles), tuple(reach)
+            if self.grid.mode == "spectral" and wrapped > 1e-14:
+                total = float(conv.sum())
+                if wrapped > self.grid.alias_tol * total:
+                    raise AliasingDetected(
+                        f"product pushes {wrapped:.3e} of {total:.3e} spectral mass "
+                        f"past Nyquist along axis {axis}")
+            convs.append(conv)
+        return convs
 
     def __mul__(self, other):
         if isinstance(other, Number):
@@ -516,15 +537,22 @@ class GridScalar:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.grid != other.grid:
+        if self.grid is not other.grid and self.grid != other.grid:
             raise ShapeMismatch("fields live on different grids")
         phases = ((self.phases[0] + other.phases[0]) % 2,
                   (self.phases[1] + other.phases[1]) % 2)
         if not self.coeffs or not other.coeffs:
             return GridScalar._made(self.grid, {}, phases, None, None)
-        profiles, reach = self._guarded_profiles(other)
+        profiles, reach = [], []
+        for axis, conv in enumerate(self._guard(other)):
+            if conv is None:
+                profiles.append(_centre_conv(self.profiles[axis], other.profiles[axis]))
+                reach.append(self.reach[axis] + other.reach[axis])
+            else:
+                profiles.append(_fold(conv, self.grid.shape[axis]))
+                reach.append(self.grid.shape[axis] // 2)
         return GridScalar._made(self.grid, _kept(_products(self.coeffs, other.coeffs)),
-                                phases, profiles, reach)
+                                phases, tuple(profiles), tuple(reach))
 
     def __rmul__(self, other):
         if isinstance(other, Number):
@@ -612,15 +640,15 @@ class GridScalar:
         vol = self.grid.cell_volume
         if weight is None:
             sums = {m: float(a.sum()) for m, a in self.coeffs.items()}
-        elif self.grid != weight.grid:
+        elif self.grid is not weight.grid and self.grid != weight.grid:
             raise ShapeMismatch("fields live on different grids")
         elif not self.coeffs or not weight.coeffs:
             sums = {}
         else:
-            self._guarded_profiles(weight)
+            self._guard(weight)
             # one scratch array holds each monomial of the product in turn
             sums = {m: float(a.sum()) for m, a in _products(
-                self.coeffs, weight.coeffs, out=np.empty(self.grid.shape)) if a.any()}
+                self.coeffs, weight.coeffs, out=np.empty(self.grid.shape)) if _nonzero(a)}
         value = GrassmannElement(
             gens, {m: c * vol for m, c in sums.items() if not m & EPS})
         if not any(m & EPS for m in sums):

@@ -68,6 +68,13 @@ def test_dual_mul_eps_squares_away():
     assert a * b == DualScalar(one(), g(0) + g(1))
 
 
+def test_dual_scalar_takes_grassmann_elements_only():
+    x = DualScalar(one(), g(0))
+    for args in ((1.0,), (x,), (one(), 2.0), (one(), x)):
+        with pytest.raises(TypeError):
+            DualScalar(*args)
+
+
 def test_dual_mul_plain_scalars():
     a = DualScalar(one(2.0))
     b = DualScalar(one(3.0))

@@ -4,8 +4,8 @@ import pytest
 from supertorus.grassmann import (DualScalar, GeneratorMismatch, GrassmannElement,
                                   NoBody, mul_sign, random_element)
 from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid,
-                              _fd_partial, _profile_conv, _spectral_partial,
-                              _spectral_tables)
+                              _fd_partial, _fold, _nonzero, _profile_conv,
+                              _spectral_partial, _spectral_tables)
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -145,11 +145,11 @@ def test_profile_fold_matches_add_at(n):
     rng = np.random.default_rng(n)
     for _ in range(5):
         pa, pb = (rng.exponential(size=n) * (rng.random(n) < 0.7) for _ in range(2))
-        folded, wrapped, total = _profile_conv(pa, pb)
+        conv, wrapped = _profile_conv(pa, pb)
         want_folded, want_wrapped, want_total = _profile_conv_by_add_at(pa, pb)
-        assert np.array_equal(folded, want_folded)
+        assert np.array_equal(_fold(conv, n), want_folded)
         assert abs(wrapped - want_wrapped) <= 1e-15 * want_wrapped
-        assert total == want_total
+        assert float(conv.sum()) == want_total
 
 
 @pytest.mark.parametrize("mode", ["fd2", "fd4"])
@@ -475,6 +475,59 @@ def test_cancelling_results_drop_the_mask():
     assert (psi * psi).integral(2) == GrassmannElement.zero(2)
 
 
+def test_zero_test_decides_as_any_on_every_shape():
+    # from 4x4 up the sample lies inside the grid (an index past it raises)
+    shapes = [(n0, n1) for n0 in range(4, 14) for n1 in range(4, 14)]
+    for shape in shapes + [(4, 256), (256, 4), (128, 128), (256, 256)]:
+        zeros = np.zeros(shape)
+        assert not _nonzero(zeros) and not _nonzero(-zeros)
+        assert _nonzero(np.full(shape, np.nan))
+        points = range(zeros.size) if zeros.size < 200 else (0, zeros.size - 1)
+        for k in points:
+            hot = zeros.copy()
+            hot.flat[k] = 5e-324
+            assert _nonzero(hot) and _nonzero(-hot), (shape, k)
+
+
+def test_zero_test_of_every_operation():
+    """One-hot and NaN results are kept and exact zeros dropped, whichever
+    point the zero test samples first."""
+    g = TorusGrid((6, 7), periods=(2.0, 3.0), mode="fd2")
+    vol = g.cell_volume
+    one = GridScalar.constant(g, 1.0)
+    for k in range(6 * 7):
+        arr = np.zeros(g.shape)
+        arr.flat[k] = 1.0
+        hot = GridScalar(g, {0b1: arr})
+        for f in (hot * one, hot + hot, hot - hot.scale(2.0), hot.scale(3.0),
+                  hot.partial(0), hot.partial(1)):
+            assert set(f.coeffs) == {0b1}, k
+        assert hot.integral(2, weight=one) == GrassmannElement(2, {0b1: vol})
+        # minus ones with -0.0 under the hot point: the product is -0.0 everywhere
+        arr = -np.ones(g.shape)
+        arr.flat[k] = -0.0
+        signed = GridScalar(g, {0: arr})
+        assert (hot * signed).is_zero()
+        assert hot.integral(2, weight=signed) == GrassmannElement.zero(2)
+        # a tiny field underflows to -0.0 under a tiny negative scale
+        arr = np.zeros(g.shape)
+        arr.flat[k] = 1e-200
+        assert GridScalar(g, {0b1: arr}).scale(-1e-200).is_zero()
+        assert GridScalar(g, {0b1: arr}).scale(1e-200).is_zero()
+    # exact cancellation; a sum or difference can end in -0.0 only where both
+    # operands hold -0.0, which a stored array cannot do everywhere
+    psi = (GridScalar(g, {0b1: np.full(g.shape, 0.7)})
+           + GridScalar(g, {0b10: np.full(g.shape, 0.4)}))
+    assert (psi * psi).is_zero() and psi.integral(2, weight=psi) == GrassmannElement.zero(2)
+    assert (hot + (-hot)).is_zero() and (hot - hot).is_zero()
+    assert GridScalar.constant(g, 2.0).partial(0).is_zero()
+    # NaN is nonzero
+    nan = GridScalar(g, {0b1: np.full(g.shape, np.nan)})
+    for f in (nan * one, nan + one, nan - nan, nan.scale(2.0), nan.partial(0)):
+        assert 0b1 in f.coeffs
+    assert np.isnan(nan.integral(2, weight=one).coeffs[0b1])
+
+
 def _fd_reference(arr, axis, period, phase, order):
     """fd stencil with every shifted sample taken by ``np.take``; samples that
     wrap around a twisted axis change sign."""
@@ -501,7 +554,8 @@ def test_antiperiodic_fd_stencil_wraps_with_a_sign(mode):
     order = 2 if mode == "fd2" else 4
     arr = np.random.default_rng(7).standard_normal(g.shape)
     before = arr.copy()
-    for phases in ((1, 0), (0, 1), (1, 1)):
+    # (0, 0) is the periodic path the torsion workload runs
+    for phases in ((0, 0), (1, 0), (0, 1), (1, 1)):
         f = GridScalar(g, {0b1: arr}, phases=phases)
         for axis in range(2):
             want = _fd_reference(arr, axis, g.periods[axis], phases[axis], order)
@@ -625,7 +679,7 @@ def test_product_profile_is_the_folded_convolution_bitwise(mode, shape):
         if prod.is_zero():
             continue
         for axis, n in enumerate(shape):
-            want = _profile_conv(a.profiles[axis], b.profiles[axis])[0]
+            want = _fold(_profile_conv(a.profiles[axis], b.profiles[axis])[0], n)
             assert prod.profiles[axis].tobytes() == want.tobytes(), (axis, a.reach, b.reach)
             paths.add(a.reach[axis] + b.reach[axis] <= (n - 1) // 2)
     assert paths == {True, False}
@@ -644,7 +698,7 @@ def test_reach_at_the_edge_of_the_band(n):
             a, b = wave(g, (ka, 0), mask=0b1), wave(g, (kb, 0), amp=0.5)
             assert (a.reach, b.reach) == ((ka, 0), (kb, 0))
             prod = a * b
-            want = _profile_conv(a.profiles[0], b.profiles[0])[0]
+            want = _fold(_profile_conv(a.profiles[0], b.profiles[0])[0], n)
             assert prod.profiles[0].tobytes() == want.tobytes(), (ka, kb)
             assert prod.reach == (h if ka + kb == h else ka + kb, 0)
             if n % 2 == 0 and ka + kb == h and 0 < ka < h:
