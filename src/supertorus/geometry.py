@@ -133,11 +133,13 @@ class FrameField:
 
 
 def sum_fields(fields):
-    fields = list(fields)
-    acc = fields[0]
-    for f in fields[1:]:
-        acc = acc + f
-    return acc
+    """Left-to-right sum of a nonempty iterable, drawn one term at a time."""
+    fields = iter(fields)
+    for acc in fields:
+        for f in fields:
+            acc = acc + f
+        return acc
+    raise ValueError("sum_fields needs at least one field")
 
 
 def levi_civita_form(e: FrameField):

@@ -40,12 +40,14 @@ derivatives keep it.  When the reaches of two factors add up to at most
 ``(n - 1)//2`` no bin of the convolution lies past the band (on an even
 grid the +Nyquist bin would still fold onto bin 0), so the guard cannot
 trip.  Profiles are nonnegative, so every bin beyond that sum is exactly
-+0.0 and the fold would only add zeros: such a product skips the guard's
-mass sums and the fold, takes the centre of the convolution as its
-profile, bitwise what the fold gives, and reaches the sum.  Any other
-product runs the guard and the fold, and reaches ``n//2``; its total mass
-is summed only past the 1e-14 deadband of the wrapped mass.  With a
-``weight``, :meth:`GridScalar.integral` only checks and builds no profile.
++0.0 and the fold would only add zeros.  One ``GridScalar._guard`` call
+checks both axes of a product: it skips such an axis and returns the
+convolution of any other, whose total mass it sums only past the 1e-14
+deadband of the wrapped mass.  The product itself builds its profile: the
+centre of the convolution on a skipped axis (bitwise what the fold gives,
+reaching the sum), the fold of the returned one otherwise (reaching
+``n//2``).  With a ``weight``, :meth:`GridScalar.integral` runs only the
+check and builds no profile.
 
 Construction invariant
 ----------------------
@@ -134,7 +136,7 @@ class TorusGrid:
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -219,8 +221,12 @@ def _measure_profiles(arrays, shape, phases=(0, 0)) -> tuple[np.ndarray, np.ndar
             arr = arr * _twist(shape[1]).reshape(1, -1)
         mag = np.abs(np.fft.fft2(arr))
         mag *= norm
-        p0 += np.fft.fftshift(mag.sum(axis=1))
-        p1 += np.fft.fftshift(mag.sum(axis=0))
+        # the adds of ``p += np.fft.fftshift(s)`` without the shifted copy:
+        # FFT bin j lands on profile bin (j + h) mod n, h = n//2 >= 2
+        for p, s in ((p0, mag.sum(axis=1)), (p1, mag.sum(axis=0))):
+            h = p.shape[0] // 2
+            p[h:] += s[:-h]
+            p[:h] += s[-h:]
     # drop the round-off floor of the transform; it is far below anything
     # the aliasing guard needs to see and would otherwise smear along
     # product chains
@@ -239,14 +245,6 @@ def _reach(profile: np.ndarray) -> int:
     return int(max(h - nonzero[0], nonzero[-1] - h))
 
 
-def _centre_conv(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """The in-band bins of the convolution of two mass profiles; equal to the
-    folded profile of :func:`_profile_conv` when no bin lies past the band."""
-    n = pa.shape[0]
-    h = n // 2
-    return np.convolve(pa, pb)[h:h + n].copy()
-
-
 def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float]:
     """The convolution of two mass profiles and its mass past the band.
     Profile bin i is frequency ``i - n//2``, convolution bin i ``i - 2*(n//2)``."""
@@ -254,7 +252,7 @@ def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float]:
     conv = np.convolve(pa, pb)
     # frequencies -h..h are representable (for even n the unpaired Nyquist
     # bin); only content beyond them folds onto foreign frequencies
-    return conv, float(conv[:h].sum() + conv[3 * h + 1:].sum())
+    return conv, float(np.add.reduce(conv[:h]) + np.add.reduce(conv[3 * h + 1:]))
 
 
 def _fold(conv: np.ndarray, n: int) -> np.ndarray:
@@ -275,13 +273,13 @@ def _wider(ra: tuple, rb: tuple) -> tuple:
 def _frozen(bank: dict) -> dict:
     """Mark the arrays of a bank the algebra made itself read-only, in place."""
     for arr in bank.values():
-        arr.flags.writeable = False
+        arr.setflags(write=False)
     return bank
 
 
 def _nonzero(arr: np.ndarray) -> bool:
     """``arr.any()``, decided by one sample off the grid's symmetry lines
-    unless that sample is zero (or -0.0)."""
+    unless that sample is zero (or -0.0); ``GridScalar.__mul__`` inlines it."""
     n0, n1 = arr.shape
     return arr.item((n0 // 3) * n1 + n1 // 5) != 0.0 or bool(arr.any())
 
@@ -291,7 +289,7 @@ def _keep(bank: dict, mask: int, arr: np.ndarray):
     array is zero (disjoint supports, cancellation and underflow all give
     exact zeros)."""
     if _nonzero(arr):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         bank[mask] = arr
     else:
         bank.pop(mask, None)
@@ -306,12 +304,10 @@ def _kept(items) -> dict:
     return out
 
 
-def _products(da: dict, db: dict, out=None):
-    """Yield ``(mask, array)`` per monomial of the graded product of two
-    banks, in the order of first appearance.  The pairs of one output mask
-    are multiplied and summed in the order they appear.  Each array is
-    fresh, unless ``out`` is given: then every array is ``out`` itself,
-    overwritten by the next monomial."""
+def _pair_plan(da: dict, db: dict) -> dict:
+    """The graded product of two banks as ``{mask: [(aa, ab, negative),
+    ...]}``: output masks in the order of first appearance, each with the
+    factor pairs to multiply and sum in the order given."""
     pairs: dict[int, list] = {}
     for ma, aa in da.items():
         for mb, ab in db.items():
@@ -320,15 +316,7 @@ def _products(da: dict, db: dict, out=None):
                 # it would count every generator of ``mb`` as a swap
                 pairs.setdefault(ma | mb, []).append(
                     (aa, ab, mul_sign(ma & ~EPS, mb) < 0))
-    scratch = None
-    for mask, ((aa, ab, negative), *rest) in pairs.items():
-        acc = np.multiply(aa, ab, out=out)
-        if negative:
-            np.negative(acc, out=acc)
-        for aa, ab, negative in rest:
-            scratch = np.multiply(aa, ab, out=scratch)
-            (np.subtract if negative else np.add)(acc, scratch, out=acc)
-        yield mask, acc
+    return pairs
 
 
 def _owned(arr) -> np.ndarray:
@@ -337,7 +325,7 @@ def _owned(arr) -> np.ndarray:
             and arr.flags.c_contiguous and arr.dtype == np.float64):
         return arr
     arr = np.array(arr, dtype=np.float64, order="C")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -532,27 +520,42 @@ class GridScalar:
         return convs
 
     def __mul__(self, other):
-        if isinstance(other, Number):
-            return self.scale(other)
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.grid is not other.grid and self.grid != other.grid:
+        if not isinstance(other, GridScalar):
+            if isinstance(other, Number):
+                return self.scale(other)
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        grid = self.grid
+        if grid is not other.grid and grid != other.grid:
             raise ShapeMismatch("fields live on different grids")
         phases = ((self.phases[0] + other.phases[0]) % 2,
                   (self.phases[1] + other.phases[1]) % 2)
         if not self.coeffs or not other.coeffs:
-            return GridScalar._made(self.grid, {}, phases, None, None)
+            return GridScalar._made(grid, {}, phases, None, None)
         profiles, reach = [], []
-        for axis, conv in enumerate(self._guard(other)):
+        for n, conv, pa, pb, ra, rb in zip(grid.shape, self._guard(other), self.profiles,
+                                           other.profiles, self.reach, other.reach):
             if conv is None:
-                profiles.append(_centre_conv(self.profiles[axis], other.profiles[axis]))
-                reach.append(self.reach[axis] + other.reach[axis])
+                # in band: the centre of the convolution is the folded profile
+                profiles.append(np.convolve(pa, pb)[n // 2:n // 2 + n].copy())
+                reach.append(ra + rb)
             else:
-                profiles.append(_fold(conv, self.grid.shape[axis]))
-                reach.append(self.grid.shape[axis] // 2)
-        return GridScalar._made(self.grid, _kept(_products(self.coeffs, other.coeffs)),
-                                phases, tuple(profiles), tuple(reach))
+                profiles.append(_fold(conv, n))
+                reach.append(n // 2)
+        sample = (grid.shape[0] // 3) * grid.shape[1] + grid.shape[1] // 5
+        coeffs, scratch = {}, None
+        for mask, ((aa, ab, negative), *rest) in _pair_plan(self.coeffs, other.coeffs).items():
+            acc = np.multiply(aa, ab)
+            if negative:
+                np.negative(acc, out=acc)
+            for aa, ab, negative in rest:
+                scratch = np.multiply(aa, ab, out=scratch)
+                (np.subtract if negative else np.add)(acc, scratch, out=acc)
+            if acc.item(sample) != 0.0 or acc.any():  # _nonzero, inline
+                acc.setflags(write=False)
+                coeffs[mask] = acc
+        return GridScalar._made(grid, coeffs, phases, tuple(profiles), tuple(reach))
 
     def __rmul__(self, other):
         if isinstance(other, Number):
@@ -600,12 +603,14 @@ class GridScalar:
 
         The variation may be any field: ``exp(u + eps du) = exp(u) (1 + eps du)``.
         """
+        if self.phases != (0, 0):
+            raise ValueError("cannot exponentiate a twisted field")
         if any(m and not m & EPS for m in self.coeffs):
             raise ValueError("exp is only supported for body-only fields")
         base = np.exp(self.coeffs.get(0, np.zeros(self.grid.shape)))
         out = {0: base}
         out.update({m: base * arr for m, arr in self.coeffs.items() if m & EPS})
-        return GridScalar(self.grid, _frozen(out), phases=self.phases)
+        return GridScalar(self.grid, _frozen(out))
 
     # -- calculus ------------------------------------------------------------------
 
@@ -646,9 +651,17 @@ class GridScalar:
             sums = {}
         else:
             self._guard(weight)
-            # one scratch array holds each monomial of the product in turn
-            sums = {m: float(a.sum()) for m, a in _products(
-                self.coeffs, weight.coeffs, out=np.empty(self.grid.shape)) if _nonzero(a)}
+            # one array holds each monomial of the product in turn
+            acc, scratch, sums = np.empty(self.grid.shape), None, {}
+            for m, ((aa, ab, negative), *rest) in _pair_plan(self.coeffs, weight.coeffs).items():
+                np.multiply(aa, ab, out=acc)
+                if negative:
+                    np.negative(acc, out=acc)
+                for aa, ab, negative in rest:
+                    scratch = np.multiply(aa, ab, out=scratch)
+                    (np.subtract if negative else np.add)(acc, scratch, out=acc)
+                if _nonzero(acc):
+                    sums[m] = float(acc.sum())
         value = GrassmannElement(
             gens, {m: c * vol for m, c in sums.items() if not m & EPS})
         if not any(m & EPS for m in sums):

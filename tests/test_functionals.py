@@ -66,6 +66,29 @@ def test_super_action_eps_slot_is_the_first_variation(action_inputs):
     assert (dual.variation - central).max_abs() <= 1e-9
 
 
+def test_each_breakdown_entry_eps_slot_is_its_first_variation(action_inputs):
+    """Per entry, on a gravitino layout whose quartic term is not round-off:
+    each generator on all four spinor slots, with all four wavevectors."""
+    grid, phi, psi, _, u, du = action_inputs
+    rng = np.random.default_rng(1)
+    chi = make_trig_field("gravitino", [
+        ModeSpec("gravitino", slot, WAVEVECTORS[(g + j) % 4], float(rng.uniform(-0.5, 0.5)), g)
+        for g in (3, 4, 5) for j, slot in enumerate(SPINOR_SLOTS)], grid)
+
+    def breakdown(u):
+        return super_action(phi, psi, chi, FrameField.conformal(grid, u))
+
+    dual = breakdown(GridScalar.dual(u, du))
+    assert dual.quartic_coupling.value.max_abs() > 1e-3
+    h = 1e-4
+    plus, minus = breakdown(u + du.scale(h)), breakdown(u - du.scale(h))
+    for name in ("harmonic", "dirac", "quartic_coupling", "mixed_coupling"):
+        entry = getattr(dual, name)
+        assert isinstance(entry, DualScalar), name
+        central = (getattr(plus, name) - getattr(minus, name)) * (1 / (2 * h))
+        assert (entry.variation - central).max_abs() <= 1e-9, name
+
+
 def _no_field_arithmetic(*args):
     raise AssertionError("field arithmetic ran before the generator check")
 

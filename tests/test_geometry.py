@@ -13,6 +13,7 @@ from supertorus.geometry import (
     laplacian,
     levi_civita_form,
     spin_cov_deriv,
+    sum_fields,
 )
 from supertorus.grids import EPS, GridScalar, TorusGrid
 
@@ -226,3 +227,35 @@ def test_laplacian_matches_flat_formula():
     lap = laplacian(phi, e)
     direct = phi.partial(0).partial(0) + phi.partial(1).partial(1)
     assert (lap - direct).max_abs() <= 1e-9 * max(1.0, direct.max_abs())
+
+
+def test_sum_fields_draws_one_term_per_addition(monkeypatch):
+    g = grid(shape=(16, 16))
+    terms = [wave(g, (k, 1), amp=0.3 * k + 0.1, mask=k % 2) for k in range(4)]
+    want = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    adds = []
+    add = GridScalar.__add__
+
+    def counting_add(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    def lazy():
+        for k, term in enumerate(terms):
+            # every term drawn before this one is already added
+            assert len(adds) == max(k - 1, 0)
+            yield term
+
+    monkeypatch.setattr(GridScalar, "__add__", counting_add)
+    total = sum_fields(lazy())
+    assert adds == terms[1:]
+    assert total.coeffs.keys() == want.coeffs.keys()
+    for m, arr in want.coeffs.items():
+        assert total.coeffs[m].tobytes() == arr.tobytes(), m
+    assert sum_fields(iter([terms[2]])) is terms[2]
+
+
+@pytest.mark.parametrize("empty", [[], (), iter([])])
+def test_sum_fields_rejects_no_terms(empty):
+    with pytest.raises(ValueError, match="at least one field"):
+        sum_fields(empty)

@@ -4,8 +4,8 @@ import pytest
 from supertorus.grassmann import (DualScalar, GeneratorMismatch, GrassmannElement,
                                   NoBody, mul_sign, random_element)
 from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid,
-                              _fd_partial, _fold, _nonzero, _profile_conv,
-                              _spectral_partial, _spectral_tables)
+                              _fd_partial, _fold, _measure_profiles, _nonzero,
+                              _profile_conv, _spectral_partial, _spectral_tables)
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -244,6 +244,16 @@ def test_inverse_requires_body():
     g = grid32()
     with pytest.raises(NoBody):
         wave(g, (1, 0), mask=0b1).inv()
+
+
+@pytest.mark.parametrize("phases", [(1, 0), (0, 1), (1, 1)])
+def test_inverse_and_exp_reject_twisted_fields(phases):
+    g = grid32()
+    f = GridScalar(g, {0: 1.5 + wave(g, (1, 1), amp=0.3).coeffs[0]}, phases=phases)
+    with pytest.raises(ValueError, match="cannot invert a twisted field"):
+        f.inv()
+    with pytest.raises(ValueError, match="cannot exponentiate a twisted field"):
+        f.exp()
 
 
 def test_exp_restricted_and_correct():
@@ -597,9 +607,13 @@ def _algebra_chain(g, seed, steps=120):
             return GridScalar(g, {0: rng.standard_normal(g.shape)}, phases=phases)
         if rng.random() < 0.2:
             # mass in many bins, with a tail that decays fast enough for
-            # products of two of them to pass the guard
+            # products of two of them to pass the guard; exp takes periodic
+            # fields only, so the samples of a twisted leaf carry a factor
+            # cos(pi x / L) per twisted axis
             k = tuple(int(x) for x in rng.integers(0, 2, size=2))
-            return wave(g, k, amp=rng.uniform(0.05, 0.2), phases=phases).exp()
+            body = wave(g, k, amp=rng.uniform(0.05, 0.2)).exp().coeffs[0]
+            return GridScalar(g, {0: body * wave(g, (0, 0), phases=phases).coeffs[0]},
+                              phases=phases)
         k = tuple(int(x) for x in rng.integers(0, 3, size=2))
         return wave(g, k, amp=rng.uniform(0.1, 0.5), trig=("cos", "sin")[rng.integers(2)],
                     mask=int(rng.choice([0, 0, 0b1, 0b10, 0b11, 0b100])), phases=phases)
@@ -638,8 +652,10 @@ def _algebra_chain(g, seed, steps=120):
                         continue
                     out = (a.scale(0.5 / a.max_abs()) + 1.0).inv()
                 elif op == "exp":
+                    if a.phases != (0, 0):
+                        continue
                     body = GridScalar(g, {m: arr for m, arr in a.coeffs.items()
-                                          if not m or m & EPS}, phases=a.phases)
+                                          if not m or m & EPS})
                     out = body.scale(0.3 / max(body.max_abs(), 1.0)).exp()
                 else:
                     out = leaf(_PHASES[rng.integers(4)])
@@ -648,6 +664,40 @@ def _algebra_chain(g, seed, steps=120):
             if 0 < out.max_abs() < 1e3:
                 pool.append(out)
     return made, products
+
+
+def _profiles_by_fftshift(arrays, shape, phases):
+    """Mass profiles with every FFT axis sum centred by ``np.fft.fftshift``."""
+    p0, p1 = np.zeros(shape[0]), np.zeros(shape[1])
+    norm = 1.0 / (shape[0] * shape[1])
+    twists = [np.exp(-1j * np.pi * np.arange(n) / n) for n in shape]
+    for arr in arrays:
+        if phases[0]:
+            arr = arr * twists[0].reshape(-1, 1)
+        if phases[1]:
+            arr = arr * twists[1].reshape(1, -1)
+        mag = np.abs(np.fft.fft2(arr))
+        mag *= norm
+        p0 += np.fft.fftshift(mag.sum(axis=1))
+        p1 += np.fft.fftshift(mag.sum(axis=0))
+    for p in (p0, p1):
+        p[p < 1e-13 * max(p.sum(), 1e-300)] = 0.0
+    return p0, p1
+
+
+@pytest.mark.parametrize("mode,shape", [("spectral", (16, 10)), ("fd2", (9, 8)),
+                                        ("fd4", (7, 11))])
+@pytest.mark.parametrize("phases", _PHASES)
+def test_measured_profiles_match_fftshift_bitwise(mode, shape, phases):
+    g = TorusGrid(shape, periods=(2.0, 3.0), mode=mode)
+    rng = np.random.default_rng(sum(shape) + 2 * phases[0] + phases[1])
+    arrays = [rng.standard_normal(shape) for _ in range(3)]
+    want = _profiles_by_fftshift(arrays, shape, phases)
+    field = GridScalar(g, {m: arr for m, arr in zip((0, 0b1, 0b11 | EPS), arrays)},
+                       phases=phases)
+    for got in (_measure_profiles(arrays, shape, phases), field.profiles):
+        for axis in range(2):
+            assert got[axis].tobytes() == want[axis].tobytes(), axis
 
 
 _CHAIN_GRIDS = [("spectral", (16, 10)), ("spectral", (32, 32)), ("fd2", (9, 8)),
