@@ -119,11 +119,8 @@ class _FieldBase:
     def zip(self, other, fn):
         return type(self)(_zip_struct(self.comps, other.comps, fn))
 
-    def scaled(self, factor) -> "_FieldBase":
-        return self.map(lambda f: factor * f)
-
-    def plus(self, other, coeff: float = 1.0):
-        return self.zip(other, lambda a, b: a + b.scale(coeff))
+    def plus(self, other):
+        return self.zip(other, lambda a, b: a + b)
 
     def max_abs(self) -> float:
         return max((f.max_abs() for f in _walk(self.comps)), default=0.0)

@@ -1,8 +1,9 @@
 """Energy functionals over the discrete torus.
 
 All integrands are assembled from frame evaluations, so every functional
-accepts frames carrying an ``eps`` variation slot and returns dual-valued
-results; that is the whole first-variation story.
+accepts frames carrying an ``eps`` variation and returns ring elements whose
+``eps`` monomials are the first variation; that is the whole
+first-variation story.
 
 Pairing conventions (fixed once, certified by the suites):
 
@@ -38,27 +39,29 @@ from .fields import (
     spinor_omega,
 )
 from .geometry import FrameField, dirac_apply, integrate, sum_fields
-from .grassmann import DualScalar, GeneratorMismatch, GrassmannElement
-from .grids import EPS, GridScalar, ShapeMismatch
+from .grassmann import EPS, GeneratorMismatch, GrassmannElement
+from .grids import GridScalar, ShapeMismatch
 
 
 @dataclass
 class ActionBreakdown:
-    """Per-term values of a functional; entries are even ring scalars."""
+    """Per-term values of a functional; entries are even
+    :class:`GrassmannElement` scalars, ``eps`` monomials included."""
 
-    harmonic: object
-    dirac: object
-    quartic_coupling: object
-    mixed_coupling: object
-    f_squared: object
-    scal_term: object
+    harmonic: GrassmannElement
+    dirac: GrassmannElement
+    quartic_coupling: GrassmannElement
+    mixed_coupling: GrassmannElement
+    f_squared: GrassmannElement
+    scal_term: GrassmannElement
 
     def __post_init__(self):
         for f in dataclass_fields(self):
             entry = getattr(self, f.name)
-            slots = ((entry.value, entry.variation) if isinstance(entry, DualScalar)
-                     else (entry,))
-            if any(m.bit_count() & 1 for slot in slots for m in slot.coeffs):
+            if not isinstance(entry, GrassmannElement):
+                raise TypeError(f"breakdown entry {f.name} is a {type(entry).__name__}, "
+                                "not a GrassmannElement")
+            if any((m & ~EPS).bit_count() & 1 for m in entry.coeffs):
                 raise ParityMismatch(f"breakdown entry {f.name} is not even")
 
     @property
@@ -71,14 +74,14 @@ class ActionBreakdown:
 
     def to_json_dict(self) -> dict:
         """``{term: {monomial key: coefficient}}`` with monomial keys given
-        as comma-joined sorted generator indices ("" for the body)."""
+        as comma-joined sorted generator indices ("" for the body), followed
+        by ``eps`` on the monomials of the first variation ("0,3,eps")."""
         def encode(entry):
-            element = entry.value if isinstance(entry, DualScalar) else entry
             out = {}
-            for mask in sorted(element.coeffs):
-                key = ",".join(str(i) for i in range(mask.bit_length())
-                               if mask >> i & 1)
-                out[key] = float(element.coeffs[mask])
+            for mask in sorted(entry.coeffs):
+                names = [str(i) for i in range((mask & ~EPS).bit_length()) if mask >> i & 1]
+                key = ",".join(names + ["eps"] if mask & EPS else names)
+                out[key] = float(entry.coeffs[mask])
             return out
 
         data = {f.name: encode(getattr(self, f.name)) for f in dataclass_fields(self)}
@@ -201,7 +204,7 @@ def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
     ``chi(e_k)`` and ``(q chi)(e_k)`` are evaluated once and shared.
     """
     _check_gens(gens, phi, psi, chi, e, A)
-    zero = _zero_like(e, gens)
+    zero = GrassmannElement.zero(gens)
     dphi = map_frame_differential(phi, e)
     vals, qvals = gravitino_split_frame_values(chi, e)
     return ActionBreakdown(
@@ -228,7 +231,7 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
     f12 = curvature_of_torsion(A)
     rho_inv = e.determinant
     fsq_density = f12 * f12 * rho_inv * rho_inv
-    zero = _zero_like(e, gens)
+    zero = GrassmannElement.zero(gens)
     return ActionBreakdown(
         harmonic=integrate(harmonic_density(map_frame_differential(phi, e)), e, gens),
         dirac=integrate(dirac_density(psi, e, A), e, gens),
@@ -252,14 +255,3 @@ def _check_gens(gens: int, *inputs):
     if highest >= gens:
         raise GeneratorMismatch(
             f"gens={gens} does not cover generator {highest} of the input fields")
-
-
-def _zero_like(e: FrameField, gens: int):
-    zero = GrassmannElement.zero(gens)
-    if _frame_is_dual(e):
-        return DualScalar(zero)
-    return zero
-
-
-def _frame_is_dual(e: FrameField) -> bool:
-    return any(c.has_eps() for row in e.comps for c in row)

@@ -8,7 +8,7 @@ from it, the last one by solving the torsion-free structure equations
 
 pointwise as a 2x2 linear system in the even part of the algebra.  Because
 the solve goes through the generic field arithmetic, frames carrying an
-``eps`` variation slot automatically propagate exact first variations of
+``eps`` variation automatically propagate exact first variations of
 coframe, metric, volume and connection.
 
 Spinor-valued data is passed around as nested lists of :class:`GridScalar`

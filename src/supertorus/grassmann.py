@@ -1,4 +1,4 @@
-"""Finite-dimensional real Grassmann algebra with a dual-number extension.
+"""Finite-dimensional real Grassmann algebra with one even nilpotent ``eps``.
 
 An element of the algebra over generators ``g0 .. g{N-1}`` is stored as a
 sparse map from a generator subset (bitmask) to its coefficient.  The product
@@ -10,13 +10,17 @@ the structure the rest of the package relies on:
 * odd elements anticommute among themselves,
 * any element with vanishing empty-subset coefficient (``body``) is nilpotent.
 
+Bit 16 of a mask (:data:`EPS`) is one more, even, deformation parameter
+``eps`` with ``eps**2 = 0``: the coefficient of ``eps * m`` sits under
+``m | EPS``.  ``eps`` never contributes a sign and the overlap test makes it
+square to zero, so the graded product is also the Leibniz rule, and the
+``eps`` part of any result is its exact first variation, with no
+differencing.  :attr:`GrassmannElement.value` and
+:attr:`GrassmannElement.variation` split an element into its two parts.
+
 Coefficients may be ``float`` or ``Fraction`` (the exact mode used by the
 pointwise algebra suites); ``complex`` ones are accepted like any scalar,
 but no layer of the package produces them.
-
-``DualScalar`` adjoins one even deformation parameter ``eps`` with
-``eps**2 = 0``; its second slot therefore carries exact first variations
-through arbitrary algebra without any differencing.
 """
 
 from __future__ import annotations
@@ -34,6 +38,9 @@ class NoBody(ZeroDivisionError):
 
 
 _SCALARS = (int, float, complex, Fraction)
+
+# the generator count is capped at 16, so bit 16 is free
+EPS = 1 << 16
 
 
 def parity_of(mask: int) -> int:
@@ -59,11 +66,13 @@ def mul_sign(a: int, b: int) -> int:
 def _format_monomial(mask: int) -> str:
     if mask == 0:
         return "1"
-    return "*".join(f"g{i}" for i in range(mask.bit_length()) if mask >> i & 1)
+    names = [f"g{i}" for i in range((mask & ~EPS).bit_length()) if mask >> i & 1]
+    return "*".join(names + ["eps"] if mask & EPS else names)
 
 
 class GrassmannElement:
-    """Sparse element of the exterior algebra over ``gens`` generators.
+    """Sparse element of the exterior algebra over ``gens`` generators,
+    with ``eps`` (:data:`EPS`) adjoined.
 
     Values are immutable by convention: no method mutates ``coeffs`` after
     construction, so elements can be shared freely across threads.
@@ -71,8 +80,7 @@ class GrassmannElement:
 
     __slots__ = ("gens", "coeffs")
 
-    def __init__(self, gens: int, coeffs: Mapping[int, object] | None = None,
-                 drop_tol: float = 0.0):
+    def __init__(self, gens: int, coeffs: Mapping[int, object] | None = None):
         if not 0 <= gens <= 16:
             raise ValueError(f"generator count must be in [0, 16], got {gens}")
         self.gens = gens
@@ -80,13 +88,21 @@ class GrassmannElement:
         if coeffs:
             limit = 1 << gens
             for mask, c in coeffs.items():
-                if not 0 <= mask < limit:
+                if not 0 <= mask & ~EPS < limit:
                     raise GeneratorMismatch(
-                        f"monomial {mask:#x} uses generators beyond {gens}")
-                if c == 0 or (drop_tol and abs(c) <= drop_tol):
-                    continue
-                clean[mask] = c
+                        f"monomial {mask:#x} uses bits beyond {gens} generators and eps")
+                if c != 0:
+                    clean[mask] = c
         self.coeffs = clean
+
+    @classmethod
+    def _made(cls, gens: int, coeffs: dict) -> "GrassmannElement":
+        """Element over masks and nonzero coefficients taken from a valid
+        element; none of the constructor's checks run."""
+        self = object.__new__(cls)
+        self.gens = gens
+        self.coeffs = coeffs
+        return self
 
     # -- constructors -----------------------------------------------------
 
@@ -112,6 +128,9 @@ class GrassmannElement:
     def monomial(cls, indices: Iterable[int], gens: int, coeff=1.0) -> "GrassmannElement":
         mask = 0
         for i in indices:
+            # index 16 would otherwise land on the ``eps`` bit
+            if not 0 <= i < gens:
+                raise GeneratorMismatch(f"generator {i} outside budget {gens}")
             bit = 1 << i
             if mask & bit:
                 return cls.zero(gens)
@@ -173,7 +192,9 @@ class GrassmannElement:
                     continue
                 mask = ma | mb
                 term = ca * cb
-                if mul_sign(ma, mb) < 0:
+                # eps is even and never contributes a sign; left in ``ma``
+                # it would count every generator of ``mb`` as a swap
+                if mul_sign(ma & ~EPS, mb) < 0:
                     term = -term
                 s = out.get(mask, 0) + term
                 if s == 0:
@@ -209,15 +230,28 @@ class GrassmannElement:
             self.gens, {m: c for m, c in self.coeffs.items() if m})
 
     @property
+    def value(self) -> "GrassmannElement":
+        """The ``eps``-free part."""
+        return GrassmannElement._made(
+            self.gens, {m: c for m, c in self.coeffs.items() if not m & EPS})
+
+    @property
+    def variation(self) -> "GrassmannElement":
+        """The coefficient of ``eps``: the first variation."""
+        return GrassmannElement._made(
+            self.gens, {m & ~EPS: c for m, c in self.coeffs.items() if m & EPS})
+
+    @property
     def parity(self) -> int | None:
         """0 for even, 1 for odd, None for mixed or zero-ambiguous elements."""
         if not self.coeffs:
             return 0
-        parities = {parity_of(m) for m in self.coeffs}
+        parities = {parity_of(m & ~EPS) for m in self.coeffs}
         return parities.pop() if len(parities) == 1 else None
 
     def inverse(self) -> "GrassmannElement":
-        """Exact inverse; the nilpotent geometric series terminates."""
+        """Exact inverse; the nilpotent geometric series ends by itself,
+        since every factor of the soul adds a generator or ``eps`` bit."""
         b = self.body
         if b == 0:
             raise NoBody("element has vanishing body and is not invertible")
@@ -225,12 +259,11 @@ class GrassmannElement:
         u = self.soul * inv_b
         acc = GrassmannElement.scalar(inv_b, self.gens)
         term = GrassmannElement.scalar(inv_b, self.gens)
-        for _ in range(self.gens + 1):
+        while True:
             term = -(term * u)
             if not term.coeffs:
-                break
+                return acc
             acc = acc + term
-        return acc
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -257,90 +290,9 @@ class GrassmannElement:
         return " + ".join(parts)
 
 
-class DualScalar:
-    """Grassmann element plus an exact first-variation slot.
-
-    Models ``value + eps * variation`` with an *even* nilpotent parameter
-    ``eps`` satisfying ``eps**2 = 0``.  Keeping ``eps`` outside the exterior
-    algebra preserves the parity bookkeeping of the odd generators.
-    """
-
-    __slots__ = ("value", "variation")
-
-    def __init__(self, value: GrassmannElement, variation: GrassmannElement | None = None):
-        if not (isinstance(value, GrassmannElement)
-                and isinstance(variation, (GrassmannElement, type(None)))):
-            raise TypeError("DualScalar takes GrassmannElement value and variation, got "
-                            f"{type(value).__name__} and {type(variation).__name__}")
-        if variation is None:
-            variation = GrassmannElement.zero(value.gens)
-        if value.gens != variation.gens:
-            raise GeneratorMismatch("value and variation use different generator counts")
-        self.value = value
-        self.variation = variation
-
-    def _coerce(self, other) -> "DualScalar":
-        if isinstance(other, DualScalar):
-            return other
-        if isinstance(other, GrassmannElement):
-            return DualScalar(other)
-        if isinstance(other, _SCALARS):
-            return DualScalar(GrassmannElement.scalar(other, self.value.gens))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DualScalar(self.value + other.value, self.variation + other.variation)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DualScalar(-self.value, -self.variation)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DualScalar(
-            self.value * other.value,
-            self.value * other.variation + self.variation * other.value,
-        )
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self
-
-    def inverse(self) -> "DualScalar":
-        inv = self.value.inverse()
-        return DualScalar(inv, -(inv * (self.variation * inv)))
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.value == other.value and self.variation == other.variation
-
-    def __hash__(self):
-        return hash((self.value, self.variation))
-
-    def max_abs(self) -> float:
-        return max(self.value.max_abs(), self.variation.max_abs())
-
-    def __repr__(self):
-        return f"({self.value!r}) + eps*({self.variation!r})"
+# the name of a former separate dual-number type, kept because
+# bench/workloads.py imports it
+DualScalar = GrassmannElement
 
 
 def random_element(rng, gens: int, terms: int = 6, parity: int | None = None,

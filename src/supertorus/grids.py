@@ -1,15 +1,16 @@
 """Periodic-grid calculus for Grassmann-valued scalar fields.
 
 A :class:`GridScalar` is a scalar field on a two-torus whose value at every
-grid point lies in the exterior algebra of :mod:`grassmann`, extended by an
-even deformation parameter ``eps`` with ``eps**2 = 0``.  The field is stored
-as one real array per monomial.  A monomial is a bitmask: bits 0-15 are the
-odd generators and bit 16 (:data:`EPS`) is ``eps``, so the coefficient of
-``eps * m`` sits under the key ``m | EPS``.  Because ``eps`` is even and
-nilpotent, the ordinary graded product (skip overlapping masks, take the sign
-of the odd generators only) is also the Leibniz rule of the first variation.
-All field algebra and all derivative engines act monomial-wise on these
-arrays.
+grid point lies in the ring of :mod:`grassmann`: the exterior algebra
+extended by the even deformation parameter ``eps`` with ``eps**2 = 0``.  The
+field is stored as one real array per monomial, under the same masks as a
+:class:`GrassmannElement`: bits 0-15 are the odd generators and bit 16
+(:data:`EPS`) is ``eps``, so the coefficient of ``eps * m`` sits under the
+key ``m | EPS``.  Because ``eps`` is even and nilpotent, the ordinary graded
+product (skip overlapping masks, take the sign of the odd generators only)
+is also the Leibniz rule of the first variation, and integrals and constants
+carry their masks over unchanged.  All field algebra and all derivative
+engines act monomial-wise on these arrays.
 
 Derivative engines
 ------------------
@@ -68,16 +69,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from fractions import Fraction
 from numbers import Number
 
 import numpy as np
 
-from .grassmann import (DualScalar, GeneratorMismatch, GrassmannElement, NoBody,
-                        mul_sign, parity_of)
-
-# ``GrassmannElement`` caps the generator count at 16, so bit 16 is free
-EPS = 1 << 16
+from .grassmann import EPS, GeneratorMismatch, GrassmannElement, NoBody, mul_sign, parity_of
 
 
 class ShapeMismatch(ValueError):
@@ -386,16 +382,11 @@ class GridScalar:
 
     @classmethod
     def constant(cls, grid: TorusGrid, value) -> "GridScalar":
-        """Spatially constant field from a number / element / dual scalar."""
+        """Spatially constant field from a number or a ring element, ``eps``
+        monomials included."""
         ones = np.ones(grid.shape)
-        if isinstance(value, Number):
-            value = DualScalar(GrassmannElement(0, {0: float(value)}))
-        elif isinstance(value, GrassmannElement):
-            value = DualScalar(value)
-        coeffs = {m: float(c) * ones for m, c in value.value.coeffs.items()}
-        coeffs.update({m | EPS: float(c) * ones
-                       for m, c in value.variation.coeffs.items()})
-        return cls(grid, _frozen(coeffs))
+        coeffs = value.coeffs if isinstance(value, GrassmannElement) else {0: value}
+        return cls(grid, _frozen({m: float(c) * ones for m, c in coeffs.items()}))
 
     @classmethod
     def dual(cls, value: "GridScalar", variation: "GridScalar") -> "GridScalar":
@@ -491,7 +482,7 @@ class GridScalar:
     def _lift(self, other):
         if isinstance(other, GridScalar):
             return other
-        if isinstance(other, (Number, Fraction, GrassmannElement, DualScalar)):
+        if isinstance(other, (Number, GrassmannElement)):
             return GridScalar.constant(self.grid, other)
         return NotImplemented
 
@@ -566,7 +557,7 @@ class GridScalar:
         return other * self
 
     def __truediv__(self, other):
-        if isinstance(other, (Number, Fraction)):
+        if isinstance(other, Number):
             return self.scale(1.0 / float(other))
         other = self._lift(other)
         if other is NotImplemented:
@@ -633,8 +624,8 @@ class GridScalar:
     def integral(self, gens: int = 8, weight: "GridScalar | None" = None):
         """Plain quadrature sum times the cell volume.
 
-        Returns a :class:`DualScalar` when the integrand carries a variation
-        slot and a :class:`GrassmannElement` otherwise.  numpy's pairwise
+        Returns a :class:`GrassmannElement` over ``gens`` generators whose
+        ``eps`` monomials integrate the variation.  numpy's pairwise
         summation keeps the reduction deterministic for a fixed shape.
 
         With a ``weight`` field the integrand is ``self * weight``.  The
@@ -662,13 +653,7 @@ class GridScalar:
                     (np.subtract if negative else np.add)(acc, scratch, out=acc)
                 if _nonzero(acc):
                     sums[m] = float(acc.sum())
-        value = GrassmannElement(
-            gens, {m: c * vol for m, c in sums.items() if not m & EPS})
-        if not any(m & EPS for m in sums):
-            return value
-        variation = GrassmannElement(
-            gens, {m & ~EPS: c * vol for m, c in sums.items() if m & EPS})
-        return DualScalar(value, variation)
+        return GrassmannElement(gens, {m: c * vol for m, c in sums.items()})
 
     # -- misc --------------------------------------------------------------------
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from supertorus.clifford import MajoranaSpinor, theta_insert
-from supertorus.fields import ModeSpec, ParityMismatch, frame_values_to_form, make_trig_field
+from supertorus.clifford import GAMMA12, MajoranaSpinor, mat_apply, theta_insert
+from supertorus.fields import (GravitinoField, ModeSpec, ParityMismatch, TwistedSpinorField,
+                               frame_values_to_form, make_trig_field)
 from supertorus.functionals import (
     ActionBreakdown,
     coupling_mixed,
@@ -14,7 +15,7 @@ from supertorus.functionals import (
     super_action,
 )
 from supertorus.geometry import FrameField, curvature_of_torsion, integrate
-from supertorus.grassmann import DualScalar, GeneratorMismatch, GrassmannElement
+from supertorus.grassmann import EPS, GeneratorMismatch, GrassmannElement
 from supertorus.grids import GridScalar, TorusGrid
 
 # each odd generator sits on two spinor slots; a lexicographically negative
@@ -27,12 +28,16 @@ SPINOR_SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 def action_inputs():
     """Map, odd spinor and gravitino plus a mild conformal factor and its
     variation on a spectral 32x32 grid (at N=16 the aliasing guard trips)."""
+    return _inputs_on(TorusGrid((32, 32)))
+
+
+def _inputs_on(grid):
+    """The inputs of :func:`action_inputs`, the same modes on ``grid``."""
     rng = np.random.default_rng(0)
 
     def amplitude(lo=-0.5, hi=0.5):
         return float(rng.uniform(lo, hi))
 
-    grid = TorusGrid((32, 32))
     phi = make_trig_field("map", [
         ModeSpec("map", (a,), WAVEVECTORS[2 * a + i], amplitude())
         for a in range(2) for i in range(2)], grid)
@@ -57,7 +62,7 @@ def _total(grid, phi, psi, chi, u):
 def test_super_action_eps_slot_is_the_first_variation(action_inputs):
     grid, phi, psi, chi, u, du = action_inputs
     dual = _total(grid, phi, psi, chi, GridScalar.dual(u, du))
-    assert isinstance(dual, DualScalar)
+    assert any(m & EPS for m in dual.coeffs)
     assert dual.variation.max_abs() > 1e-3
     h = 1e-4
     plus = _total(grid, phi, psi, chi, u + du.scale(h))
@@ -70,10 +75,7 @@ def test_each_breakdown_entry_eps_slot_is_its_first_variation(action_inputs):
     """Per entry, on a gravitino layout whose quartic term is not round-off:
     each generator on all four spinor slots, with all four wavevectors."""
     grid, phi, psi, _, u, du = action_inputs
-    rng = np.random.default_rng(1)
-    chi = make_trig_field("gravitino", [
-        ModeSpec("gravitino", slot, WAVEVECTORS[(g + j) % 4], float(rng.uniform(-0.5, 0.5)), g)
-        for g in (3, 4, 5) for j, slot in enumerate(SPINOR_SLOTS)], grid)
+    chi = _full_gravitino(grid)
 
     def breakdown(u):
         return super_action(phi, psi, chi, FrameField.conformal(grid, u))
@@ -84,9 +86,17 @@ def test_each_breakdown_entry_eps_slot_is_its_first_variation(action_inputs):
     plus, minus = breakdown(u + du.scale(h)), breakdown(u - du.scale(h))
     for name in ("harmonic", "dirac", "quartic_coupling", "mixed_coupling"):
         entry = getattr(dual, name)
-        assert isinstance(entry, DualScalar), name
+        assert any(m & EPS for m in entry.coeffs), name
         central = (getattr(plus, name) - getattr(minus, name)) * (1 / (2 * h))
         assert (entry.variation - central).max_abs() <= 1e-9, name
+
+
+def _full_gravitino(grid):
+    """Each generator on all four spinor slots, with all four wavevectors."""
+    rng = np.random.default_rng(1)
+    return make_trig_field("gravitino", [
+        ModeSpec("gravitino", slot, WAVEVECTORS[(g + j) % 4], float(rng.uniform(-0.5, 0.5)), g)
+        for g in (3, 4, 5) for j, slot in enumerate(SPINOR_SLOTS)], grid)
 
 
 def _no_field_arithmetic(*args):
@@ -312,7 +322,118 @@ def test_breakdown_rejects_an_odd_variation():
     even, odd = GrassmannElement(4, {0b11: 1.0}), GrassmannElement(4, {0b1: 1.0})
     zero = GrassmannElement.zero(4)
     entries = dict.fromkeys(ActionBreakdown.__dataclass_fields__, zero)
-    ActionBreakdown(**{**entries, "dirac": DualScalar(even, even)})
-    for entry in (odd, DualScalar(odd, even), DualScalar(even, odd)):
+    ActionBreakdown(**{**entries, "dirac": even + _eps(even)})
+    for entry in (odd, odd + _eps(even), even + _eps(odd)):
         with pytest.raises(ParityMismatch, match="dirac"):
             ActionBreakdown(**{**entries, "dirac": entry})
+
+
+def _eps(x):
+    """``eps * x``, built from the masks: each monomial of ``x`` under ``EPS``."""
+    return GrassmannElement(x.gens, {m | EPS: c for m, c in x.coeffs.items()})
+
+
+def test_breakdown_rejects_an_entry_outside_the_ring():
+    entries = dict.fromkeys(ActionBreakdown.__dataclass_fields__, GrassmannElement.zero(4))
+    for entry in (1.0, 0, None):
+        with pytest.raises(TypeError, match="harmonic"):
+            ActionBreakdown(**{**entries, "harmonic": entry})
+
+
+def _mask_of(key):
+    """Mask of a ``to_json_dict`` monomial key such as ``"0,3,eps"``."""
+    return sum(EPS if i == "eps" else 1 << int(i) for i in key.split(",") if i)
+
+
+def test_to_json_dict_keeps_the_eps_monomials(action_inputs):
+    grid, phi, psi, chi, u, du = action_inputs
+    out = super_action(phi, psi, chi, FrameField.conformal(grid, GridScalar.dual(u, du)))
+    data = out.to_json_dict()
+    names = list(ActionBreakdown.__dataclass_fields__)
+    assert list(data) == [*names, "total"]
+    for name in data:
+        entry = out.total if name == "total" else getattr(out, name)
+        masks = {_mask_of(key): c for key, c in data[name].items()}
+        assert len(masks) == len(data[name])
+        assert {m: c for m, c in masks.items() if not m & EPS} == entry.value.coeffs
+        assert {m & ~EPS: c for m, c in masks.items() if m & EPS} == entry.variation.coeffs
+    assert "" in data["total"] and "eps" in data["total"]
+    assert sum(k.endswith(",eps") for k in data["total"]) > 0
+    # the total is the sum of the entries, added in the order of ``total``
+    total = {}
+    for name in names:
+        for key, c in data[name].items():
+            total[key] = total.get(key, 0.0) + c
+    assert {k: c for k, c in total.items() if c != 0.0} == data["total"]
+
+
+def _rotation_moves(grid, phi, psi, chi, e, sign=1.0):
+    """Largest change of each breakdown entry when the frame rows rotate by
+    ``theta = 0.3 cos 2 pi x``, ``e_0 -> cos theta e_0 - sin theta e_1`` and
+    ``e_1 -> sin theta e_0 + cos theta e_1``, and the spinor indices of
+    ``psi`` (``comps[k][a]``) and ``chi`` (``comps[a][mu]``) turn by
+    ``R = cos(theta/2) - sign * sin(theta/2) GAMMA12``."""
+    x, _ = grid.coordinates()
+    theta = 0.3 * np.cos(2 * np.pi * x / grid.periods[0])
+    c, s, ch, sh = (GridScalar(grid, {0: f(t)}) for f, t in (
+        (np.cos, theta), (np.sin, theta), (np.cos, theta / 2), (np.sin, theta / 2)))
+    rows = e.comps
+    rotated = FrameField([[c * rows[0][mu] - s * rows[1][mu] for mu in range(2)],
+                          [s * rows[0][mu] + c * rows[1][mu] for mu in range(2)]])
+
+    def turned(comps):
+        out = [[None] * len(comps[0]) for _ in range(2)]
+        for j in range(len(comps[0])):
+            pair = [comps[0][j], comps[1][j]]
+            g12 = mat_apply(GAMMA12, pair)
+            for i in range(2):
+                out[i][j] = ch * pair[i] - (sh * g12[i]).scale(sign)
+        return out
+
+    before = super_action(phi, psi, chi, e)
+    after = super_action(phi, TwistedSpinorField(turned(psi.comps)),
+                         GravitinoField(turned(chi.comps)), rotated)
+    return {name: (getattr(after, name) - getattr(before, name)).max_abs()
+            for name in ActionBreakdown.__dataclass_fields__}
+
+
+@pytest.mark.parametrize("eps", [False, True])
+def test_super_action_is_invariant_under_local_frame_rotations(action_inputs, eps):
+    grid, phi, psi, _, u, du = action_inputs
+    chi = _full_gravitino(grid)
+    e = FrameField.conformal(grid, GridScalar.dual(u, du) if eps else u)
+    assert max(_rotation_moves(grid, phi, psi, chi, e).values()) <= 1e-15
+    # the opposite spin rotation moves the Dirac term by 1.8e-2; leaving the
+    # spinors unturned moves Dirac by 8.8e-3, quartic by 2.0e-4, mixed by 2.5e-3
+    assert _rotation_moves(grid, phi, psi, chi, e, -1.0)["dirac"] > 1e-2
+    moved = _rotation_moves(grid, phi, psi, chi, e, 0.0)
+    assert moved["dirac"] > 5e-3
+    assert moved["quartic_coupling"] > 1e-4
+    assert moved["mixed_coupling"] > 1e-3
+
+
+def _eps_total(n, mode):
+    grid = TorusGrid((n, n), mode=mode)
+    _, phi, psi, chi, u, du = _inputs_on(grid)
+    return super_action(phi, psi, chi,
+                        FrameField.conformal(grid, GridScalar.dual(u, du))).total
+
+
+@pytest.fixture(scope="module")
+def spectral_total():
+    """Total of the eps-frame action on a spectral 64x64 grid."""
+    return _eps_total(64, "spectral")
+
+
+def test_spectral_total_is_resolved_at_n32(spectral_total):
+    assert (_eps_total(32, "spectral") - spectral_total).max_abs() <= 1e-15
+
+
+@pytest.mark.parametrize("mode,order", [("fd2", 2), ("fd4", 4)])
+def test_finite_difference_totals_converge_at_their_order(spectral_total, mode, order):
+    # value and eps monomials alike: fd2 reads 0.242, 0.0608, 0.0152 and
+    # fd4 1.87e-3, 1.17e-4, 7.34e-6 at N = 32, 64, 128
+    errors = [(_eps_total(n, mode) - spectral_total).max_abs() for n in (32, 64, 128)]
+    assert errors[-1] > 1e-6
+    for coarse, fine in zip(errors, errors[1:]):
+        assert np.log2(coarse / fine) >= order - 0.1, errors

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supertorus.grassmann import (
-    DualScalar,
+    EPS,
     GeneratorMismatch,
     GrassmannElement,
     NoBody,
@@ -22,6 +22,11 @@ def g(i, coeff=1.0):
 
 def one(c=1.0):
     return GrassmannElement.scalar(c, N)
+
+
+def eps(x):
+    """``eps * x``, built from the masks: each monomial of ``x`` under ``EPS``."""
+    return GrassmannElement(x.gens, {m | EPS: c for m, c in x.coeffs.items()})
 
 
 def test_mul_sign_basics():
@@ -63,28 +68,56 @@ def test_inverse_without_body_raises():
 
 
 def test_dual_mul_eps_squares_away():
-    a = DualScalar(one(), g(0))
-    b = DualScalar(one(), g(1))
-    assert a * b == DualScalar(one(), g(0) + g(1))
+    a = one() + eps(g(0))
+    b = one() + eps(g(1))
+    assert a * b == one() + eps(g(0) + g(1))
 
 
-def test_dual_scalar_takes_grassmann_elements_only():
-    x = DualScalar(one(), g(0))
-    for args in ((1.0,), (x,), (one(), 2.0), (one(), x)):
-        with pytest.raises(TypeError):
-            DualScalar(*args)
+def test_eps_squares_to_zero():
+    e = eps(one())
+    assert e * e == GrassmannElement.zero(N)
+    assert eps(g(0)) * eps(g(1)) == GrassmannElement.zero(N)
 
 
 def test_dual_mul_plain_scalars():
-    a = DualScalar(one(2.0))
-    b = DualScalar(one(3.0))
-    assert a * b == DualScalar(one(6.0))
+    # (2 + 5 eps)(3 + 7 eps) = 6 + 29 eps
+    a = one(2.0) + eps(one(5.0))
+    b = one(3.0) + eps(one(7.0))
+    assert a * b == one(6.0) + eps(one(29.0))
+    assert (one(2.0) * one(3.0)).variation == GrassmannElement.zero(N)
 
 
 def test_dual_mul_odd_value_with_unit_variation():
     # (g0 + eps)*(g0 + eps) = g0*g0 + eps*(g0 + g0) = 0 + eps*2*g0
-    a = DualScalar(g(0), one())
-    assert a * a == DualScalar(GrassmannElement.zero(N), g(0, 2.0))
+    a = g(0) + eps(one())
+    assert a * a == eps(g(0, 2.0))
+
+
+def test_parity_ignores_eps():
+    assert eps(one()).parity == 0
+    assert (g(0) + eps(g(1))).parity == 1
+    assert (one() + eps(g(1))).parity is None
+    # eps commutes with odd generators: no sign either way
+    assert eps(one()) * g(3) == g(3) * eps(one()) == eps(g(3))
+
+
+def test_eps_masks_keep_the_generator_range():
+    GrassmannElement(2, {EPS | 0b11: 1.0})
+    for mask in (EPS | 0b100, 2 * EPS, 2 * EPS | 0b1, -1):
+        with pytest.raises(GeneratorMismatch):
+            GrassmannElement(2, {mask: 1.0})
+    # generator 16 is not eps
+    for index in (2, 16):
+        with pytest.raises(GeneratorMismatch):
+            GrassmannElement.monomial([0, index], 2)
+
+
+def test_value_and_variation_split_the_eps_monomials():
+    x = GrassmannElement(N, {0: 1.0, 0b11: 2.0, EPS: 3.0, EPS | 0b101: 4.0})
+    assert x.value == GrassmannElement(N, {0: 1.0, 0b11: 2.0})
+    assert x.variation == GrassmannElement(N, {0: 3.0, 0b101: 4.0})
+    assert x.value + eps(x.variation) == x
+    assert repr(x) == "1.0 + 2.0*g0*g1 + 3.0*eps + 4.0*g0*g2*eps"
 
 
 def test_associativity_float_mode():
@@ -145,19 +178,21 @@ def test_inverse_round_trip_exact():
 
 
 def test_dual_product_rule():
+    # exact coefficients: the ring sums the two Leibniz terms of each
+    # monomial in its own order
     rng = np.random.default_rng(19)
     for _ in range(200):
-        a = DualScalar(random_element(rng, N), random_element(rng, N))
-        b = DualScalar(random_element(rng, N), random_element(rng, N))
+        a, b = (random_element(rng, N, exact=True) + eps(random_element(rng, N, exact=True))
+                for _ in range(2))
         prod = a * b
+        assert prod.value == a.value * b.value
         assert prod.variation == a.value * b.variation + a.variation * b.value
 
 
 def test_dual_inverse():
     rng = np.random.default_rng(23)
     for _ in range(50):
-        a = DualScalar(random_element(rng, N, body=1.3),
-                       random_element(rng, N))
+        a = random_element(rng, N, body=1.3) + eps(random_element(rng, N))
         prod = a * a.inverse()
         assert (prod.value - 1).max_abs() <= 1e-12
         assert prod.variation.max_abs() <= 1e-12
@@ -179,6 +214,14 @@ def test_hypothesis_distributivity(a, b, c):
 @settings(max_examples=200, deadline=None)
 def test_hypothesis_addition_commutes(a, b):
     assert a + b == b + a
+
+
+def test_inverse_with_eps_is_exact():
+    # u = g0*g1 + g2*g3 + eps has u**3 = 6 g0*g1*g2*g3*eps: four series terms
+    a = GrassmannElement(4, {0: Fraction(2), 0b11: Fraction(1), 0b1100: Fraction(1),
+                             EPS: Fraction(1)})
+    assert a * a.inverse() == GrassmannElement.one(4) + 0
+    assert a.inverse().coeffs[EPS | 0b1111] == Fraction(-6, 16)
 
 
 def test_fraction_coefficients_stay_exact():
