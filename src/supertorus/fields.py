@@ -4,10 +4,10 @@ Component conventions
 ---------------------
 * ``MapField.comps[a]`` -- even scalar per flat target direction ``a``;
 * ``TwistedSpinorField.comps[k][a]`` -- dual-spinor-frame index ``k`` against
-  target index ``a``; odd in the supersymmetric pipeline, commuting (bare
-  arrays) in the symplectic-target mode;
-* ``SpinorField.comps[a]`` -- primal spinor frame components (variational
-  spinors and intermediate values);
+  target index ``a``; odd in the supersymmetric pipeline, even components
+  are accepted too;
+* ``SpinorField.comps[a]`` -- primal spinor frame components (the
+  ``varspinor`` kind);
 * ``GravitinoField.comps[a][mu]`` -- spinor frame index ``a`` against the
   *coordinate* one-form index ``mu``; frame evaluations ``chi(e_k)`` go
   through the zweibein.
@@ -29,13 +29,12 @@ negative one contributes the sine of its negation, and ``(0, 0)`` a constant.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import MajoranaSpinor, SpinorForm, quantize, spinor_pair, theta_insert
-from .geometry import FrameField, spin_cov_deriv, sum_fields
+from .geometry import FrameField, sum_fields
 from .grids import GridScalar, ShapeMismatch, TorusGrid
 
 GENERATOR_BLOCKS = {
@@ -55,10 +54,6 @@ class GeneratorBudgetExceeded(ValueError):
 
 class ParityMismatch(ValueError):
     """A field had the wrong parity for the requested operation."""
-
-
-class BranchCutWarning(UserWarning):
-    """The torsion factorization data crossed the principal branch cut."""
 
 
 def _walk(struct):
@@ -247,13 +242,6 @@ def frame_values_to_form(values, e: FrameField) -> GravitinoField:
     return GravitinoField(comps)
 
 
-def gravitino_split(chi: GravitinoField, e: FrameField):
-    """Pointwise spin-1/2 / spin-3/2 decomposition of a gravitino."""
-    vals = gravitino_frame_values(chi, e)
-    s = quantize_frame_values(vals)
-    return SpinorField(s), frame_values_to_form(spin32_frame_values(vals, s), e)
-
-
 def quantize_frame_values(vals):
     """``gamma^k chi(e_k)`` on frame-indexed spinor values ``vals[k][a]``."""
     form = SpinorForm(tuple((vals[0][a], vals[1][a]) for a in range(2)))
@@ -270,109 +258,3 @@ def spin32_frame_values(vals, s):
 def spinor_omega(s, t):
     """Symplectic spinor pairing on component pairs, first argument left."""
     return spinor_pair("symplectic", MajoranaSpinor(tuple(s)), MajoranaSpinor(tuple(t)))
-
-
-def torsion_from_gravitino(chi: GravitinoField, e: FrameField):
-    """Torsion one-form generated by an odd gravitino.
-
-    ``A(v) = omega(quantize(chi), chi(v))``; the result is even with zero
-    body because it is quadratic in odd components.
-    """
-    if chi.parity != 1 and not chi.all_zero():
-        raise ParityMismatch("torsion extraction expects an odd gravitino")
-    vals = gravitino_frame_values(chi, e)
-    q = quantize_frame_values(vals)
-    frame_comps = [spinor_omega(q, vals[k]) for k in range(2)]
-    ehat = e.coframe
-    return [sum_fields(ehat[k][mu] * frame_comps[k] for k in range(2))
-            for mu in range(2)]
-
-
-def classical_torsion_recovery(chi: GravitinoField, e: FrameField):
-    """Metric-pairing variant ``A(v) = <quantize(chi), chi(v)>`` used as the
-    recovery oracle for the commuting factorization.
-
-    The check is purely pointwise, so it runs on the raw component arrays;
-    the spectral product guard has no business here.
-    """
-    grid = e.grid
-    zeros = np.zeros(grid.shape)
-
-    def body(f: GridScalar) -> np.ndarray:
-        if set(f.coeffs) - {0}:
-            raise ParityMismatch("classical recovery expects commuting data")
-        return f.coeffs.get(0, zeros)
-
-    e_arr = [[body(e.comps[k][mu]) for mu in range(2)] for k in range(2)]
-    ehat_arr = [[body(e.coframe[k][mu]) for mu in range(2)] for k in range(2)]
-    chi_arr = [[body(chi.comps[a][mu]) for mu in range(2)] for a in range(2)]
-    vals = [[sum(e_arr[k][mu] * chi_arr[a][mu] for mu in range(2))
-             for a in range(2)] for k in range(2)]
-    qs = MajoranaSpinor(tuple(quantize_frame_values(vals)))
-    frame_comps = [spinor_pair("metric", qs, MajoranaSpinor(tuple(vals[k])))
-                   for k in range(2)]
-    return [GridScalar(grid, {0: sum(ehat_arr[k][mu] * frame_comps[k]
-                                     for k in range(2))})
-            for mu in range(2)]
-
-
-def factorize_torsion(A, e: FrameField) -> GravitinoField:
-    """Commuting gravitino reproducing a real torsion one-form.
-
-    Writes the frame components as one complex function ``a = a_1 - i a_2``,
-    takes the principal square root of ``2a`` for the spin-1/2 part and
-    ``conj(a)/sqrt(2a)`` for the spin-3/2 part; with these weights the
-    metric-pairing recovery is pointwise exact.  Vanishing ``a`` maps to a
-    vanishing gravitino; data on or across the negative real axis triggers
-    :class:`BranchCutWarning` because the square root may jump there.
-    """
-    grid = e.grid
-    frame_vals = []
-    for k in range(2):
-        comp = sum_fields(e.comps[k][mu] * A[mu] for mu in range(2))
-        if set(comp.coeffs) - {0}:
-            raise ParityMismatch("classical factorization expects real torsion data")
-        frame_vals.append(comp.coeffs.get(0, np.zeros(grid.shape)))
-    a = frame_vals[0] - 1j * frame_vals[1]
-    mag = np.abs(a)
-    on_cut = (a.real < 0) & (np.abs(a.imag) <= 1e-12 * np.maximum(mag, 1e-30))
-    left = a.real < 0
-    crosses = left.any() and (a.imag[left].max(initial=-np.inf) > 0
-                              and a.imag[left].min(initial=np.inf) < 0)
-    if on_cut.any() or crosses:
-        warnings.warn("torsion data touches the principal branch cut; "
-                      "the factorized gravitino may be discontinuous",
-                      BranchCutWarning)
-    b = np.sqrt(2 * a)
-    safe = mag > 0
-    w = np.zeros_like(a)
-    np.divide(np.conj(a), b, out=w, where=safe)
-    p, q = b.real, b.imag
-    c, d = w.real, w.imag
-    # spinor part s = (p, -q); frame values of (theta_insert(s) + g)/sqrt(2)
-    inv_sqrt2 = 2.0 ** -0.5
-    vals = [
-        [(0.5 * p + c) * inv_sqrt2, (0.5 * q + d) * inv_sqrt2],   # chi(e_1)
-        [(-0.5 * q + d) * inv_sqrt2, (0.5 * p - c) * inv_sqrt2],  # chi(e_2)
-    ]
-    vals = [[GridScalar(grid, {0: arr}) for arr in pair] for pair in vals]
-    return frame_values_to_form(vals, e)
-
-
-def holomorphy_residual(s: SpinorField, e: FrameField, A=None) -> float:
-    """L2 size of the spin-3/2 part of the covariant derivative of ``s``.
-
-    Zero exactly for covariantly holomorphic sections; on the flat periodic
-    torus these are the constants.
-    """
-    z = spin_cov_deriv(s.comps, e, A)
-    # frame equals coordinates in the flat gauge this check is defined in
-    vals = [[z[a][k] for a in range(2)] for k in range(2)]
-    resid = spin32_frame_values(vals, quantize_frame_values(vals))
-    total = 0.0
-    vol = e.grid.cell_volume
-    for k in range(2):
-        for a in range(2):
-            for arr in resid[k][a].coeffs.values():
-                total += float(np.sum(arr * arr)) * vol
-    return float(np.sqrt(total))

@@ -13,9 +13,10 @@ coframe, metric, volume and connection.
 
 Spinor-valued data is passed around as nested lists of :class:`GridScalar`
 components; the typed wrappers live in :mod:`fields`.  Gamma matrices act
-only through :mod:`clifford`, and :func:`spin_cov_deriv` is the one spin
-covariant derivative: :func:`dirac_apply` runs it per target index and
-contracts the frame components with :func:`clifford.quantize`.
+only through :mod:`clifford`.  :func:`spin_cov_deriv` and :func:`dirac_apply`
+share one spin covariant derivative, ``_covariant``: :func:`dirac_apply`
+computes the coefficients ``(Gamma + A)/2`` once per call, runs it per target
+index and contracts the frame components with :func:`clifford.quantize`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .grids import GridScalar, ShapeMismatch, TorusGrid
 
 
 class NonOrientedFrame(ValueError):
-    """Frame determinant has non-positive body somewhere."""
+    """Frame determinant body is not positive (or is NaN) somewhere."""
 
 
 class SingularSolve(ArithmeticError):
@@ -51,7 +52,7 @@ class FrameField:
         e = self.comps
         det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
         body = det.coeffs.get(0)
-        if body is None or np.min(body) <= 0.0:
+        if body is None or not np.min(body) > 0.0:
             raise NonOrientedFrame("frame determinant body must be positive")
         self._det = det
         self._cache = {}

@@ -111,8 +111,10 @@ class TorusGrid:
                     f"spectral mode needs even grid sizes >= 8, got {self.shape}")
             if n < 4:
                 raise ValueError(f"grid too small: {self.shape}")
-        if any(p <= 0 for p in self.periods):
-            raise ValueError(f"periods must be positive, got {self.periods}")
+        if not all(0 < p < np.inf for p in self.periods):
+            raise ValueError(f"periods must be positive and finite, got {self.periods}")
+        if not self.alias_tol >= 0:
+            raise ValueError(f"alias_tol must be non-negative, got {self.alias_tol}")
 
     @property
     def spacings(self) -> tuple[float, float]:
@@ -576,8 +578,8 @@ class GridScalar:
         if self.phases != (0, 0):
             raise ValueError("cannot invert a twisted field")
         body = self.coeffs.get(0)
-        if body is None or np.min(np.abs(body)) < 1e-200:
-            raise NoBody("field body vanishes somewhere; not invertible")
+        if body is None or not np.min(np.abs(body)) >= 1e-200:
+            raise NoBody("field body vanishes or is NaN somewhere; not invertible")
         binv = GridScalar(self.grid, _frozen({0: 1.0 / body}))
         unit = self * binv
         # the soul of ``unit``, profiles measured from the data

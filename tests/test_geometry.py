@@ -118,6 +118,14 @@ def test_non_oriented_frame_rejected():
         FrameField([[one + bad, zero], [zero, one]])
 
 
+def test_nan_conformal_factor_rejected():
+    g = grid()
+    u = wave(g, (1, 0), amp=0.1).coeffs[0].copy()
+    u[3, 5] = np.nan
+    with pytest.raises(NonOrientedFrame):
+        FrameField.conformal(g, GridScalar(g, {0: u}))
+
+
 def test_spin_cov_deriv_constant_flat():
     g = grid()
     e = FrameField.flat(g)

@@ -31,6 +31,18 @@ def test_grid_validation():
     TorusGrid((10, 6), mode="fd2", periods=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("periods", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
+def test_grid_rejects_periods_that_are_not_positive_and_finite(periods):
+    with pytest.raises(ValueError, match="periods"):
+        TorusGrid((16, 16), periods)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-9])
+def test_grid_rejects_an_alias_tol_that_is_nan_or_negative(tol):
+    with pytest.raises(ValueError, match="alias_tol"):
+        TorusGrid((16, 16), alias_tol=tol)
+
+
 @pytest.mark.parametrize("mode,tol", [("spectral", 1e-12), ("fd2", 3e-2), ("fd4", 2e-4)])
 def test_partial_derivative_single_mode(mode, tol):
     g = grid32(mode, periods=(2.0, 1.0))
@@ -248,6 +260,14 @@ def test_inverse_requires_body():
     g = grid32()
     with pytest.raises(NoBody):
         wave(g, (1, 0), mask=0b1).inv()
+
+
+def test_inverse_rejects_a_nan_body():
+    g = grid32()
+    body = 1.5 + wave(g, (1, 1), amp=0.3).coeffs[0]
+    body[3, 5] = np.nan
+    with pytest.raises(NoBody):
+        GridScalar(g, {0: body}).inv()
 
 
 @pytest.mark.parametrize("phases", [(1, 0), (0, 1), (1, 1)])

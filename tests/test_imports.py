@@ -1,5 +1,7 @@
 """Every imported name in the package and its tests is used, every private
-helper of the package has a caller, and every console script resolves."""
+helper of the package has a caller, every cross-reference in a package
+docstring names something the package defines, and every console script
+resolves."""
 
 import ast
 import importlib
@@ -59,20 +61,23 @@ def test_no_unused_imports(path):
 PACKAGE = sorted((ROOT / "src" / "supertorus").glob("*.py"))
 
 
+def _bound_names(stmt) -> list[str]:
+    """Names a ``def``, ``class`` or assignment statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def orphaned_privates(sources: dict[str, str]) -> list[str]:
     """Top-level ``_name`` definitions (function, class or assignment) that
     no other top-level statement of any of ``sources`` refers to."""
     defined, statements = [], []
     for fname, source in sources.items():
         for stmt in ast.parse(source).body:
-            names = set()
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.add(stmt.name)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                names.update(n.id for t in targets for n in ast.walk(t)
-                             if isinstance(n, ast.Name))
-            defined += [(fname, name, stmt) for name in names
+            defined += [(fname, name, stmt) for name in set(_bound_names(stmt))
                         if name.startswith("_") and not name.endswith("__")]
             refs = set()
             for node in ast.walk(stmt):
@@ -97,6 +102,52 @@ def test_scan_flags_an_orphaned_private_helper():
 
 def test_no_orphaned_private_helpers():
     assert orphaned_privates({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+ROLE = re.compile(r":(?:func|class|meth|mod|data|attr):`~?\.?([\w.]+)`")
+
+
+def defined_names(sources: dict[str, str]) -> set[str]:
+    """What a docstring may point at: each module ``m`` (also as
+    ``supertorus.m``), each top-level name ``n`` (also as ``m.n``), and each
+    class member ``a`` (also as ``C.a`` and ``m.C.a``)."""
+    names = set()
+    for fname, source in sources.items():
+        mod = fname.removesuffix(".py")
+        names |= {mod, f"supertorus.{mod}"}
+        for stmt in ast.parse(source).body:
+            for top in _bound_names(stmt):
+                names |= {top, f"{mod}.{top}"}
+            if isinstance(stmt, ast.ClassDef):
+                for attr in (a for member in stmt.body for a in _bound_names(member)):
+                    names |= {attr, f"{stmt.name}.{attr}", f"{mod}.{stmt.name}.{attr}"}
+    return names
+
+
+def dangling_references(sources: dict[str, str]) -> list[str]:
+    """``:func:``-style references in the docstrings of ``sources`` whose
+    target :func:`defined_names` does not list."""
+    known = defined_names(sources)
+    out = []
+    for fname, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node) or ""
+                out += [f"{fname}: {ref}" for ref in ROLE.findall(doc) if ref not in known]
+    return sorted(out)
+
+
+def test_scan_flags_a_dangling_docstring_reference():
+    src = ('"""Uses :mod:`m`, :func:`~m.f`, :class:`C` and :meth:`C.g`."""\n'
+           'def f():\n    """Not :func:`gone`, nor :attr:`C.h`."""\n'
+           'class C:\n    """See :attr:`size` and :data:`LIMIT`."""\n'
+           '    size: int = 0\n    def g(self): pass\nLIMIT = 3\n')
+    assert dangling_references({"m.py": src}) == ["m.py: C.h", "m.py: gone"]
+
+
+def test_docstring_references_resolve():
+    assert dangling_references({p.name: p.read_text() for p in PACKAGE}) == []
 
 
 def console_scripts(pyproject: str) -> dict[str, str]:
