@@ -89,7 +89,7 @@ class FrameField:
             e = self.comps
             try:
                 dinv = self.density
-            except NoBody as exc:  # pragma: no cover - guarded by __init__
+            except NoBody as exc:  # an infinite determinant body passes __init__
                 raise SingularSolve(str(exc)) from exc
             # ehat = (E^T)^{-1} so that ehat^k_mu e_l^mu = delta^k_l
             self._cache["coframe"] = [
@@ -156,18 +156,6 @@ def levi_civita_form(e: FrameField):
     gamma1 = -1.0 * ((ehat[0][0] * d1 + ehat[1][0] * d2) * rho_inv)
     gamma2 = -1.0 * ((ehat[0][1] * d1 + ehat[1][1] * d2) * rho_inv)
     return [gamma1, gamma2]
-
-
-def cartan_residual(e: FrameField, gamma) -> float:
-    """Max-abs residual of both structure equations; the solve oracle."""
-    ehat = e.coframe
-    res = 0.0
-    for k, sign in ((0, -1.0), (1, 1.0)):
-        other = ehat[1 - k]
-        dk = ehat[k][1].partial(0) - ehat[k][0].partial(1)
-        wedge = gamma[0] * other[1] - gamma[1] * other[0]
-        res = max(res, (dk - sign * wedge).max_abs())
-    return res
 
 
 def torsion_zero(grid: TorusGrid):

@@ -43,12 +43,14 @@ grid the +Nyquist bin would still fold onto bin 0), so the guard cannot
 trip.  Profiles are nonnegative, so every bin beyond that sum is exactly
 +0.0 and the fold would only add zeros.  One ``GridScalar._guard`` call
 checks both axes of a product: it skips such an axis and returns the
-convolution of any other, whose total mass it sums only past the 1e-14
-deadband of the wrapped mass.  The product itself builds its profile: the
-centre of the convolution on a skipped axis (bitwise what the fold gives,
-reaching the sum), the fold of the returned one otherwise (reaching
-``n//2``).  With a ``weight``, :meth:`GridScalar.integral` runs only the
-check and builds no profile.
+convolution of any other.  Its wrapped mass is one dot product of the
+convolution with a 0/1 mask of the bins past the band, cached per grid
+size, and its total mass is summed only past the 1e-14 deadband of the
+wrapped mass.  The product itself builds its profile: the centre of the
+convolution on a skipped axis (bitwise what the fold gives, reaching the
+sum), otherwise the fold of the returned one, one ``np.bincount`` over
+target bins cached with the mask (reaching ``n//2``).  With a ``weight``,
+:meth:`GridScalar.integral` runs only the check and builds no profile.
 
 Construction invariant
 ----------------------
@@ -243,24 +245,34 @@ def _reach(profile: np.ndarray) -> int:
     return int(max(h - nonzero[0], nonzero[-1] - h))
 
 
+@lru_cache(maxsize=64)
+def _band_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the ``2n - 1`` bins of a profile convolution on an axis of ``n``
+    points: a 0/1 mask of the bins past the band, and the profile bin each
+    folds onto; built once."""
+    h = n // 2
+    # convolution bin i is frequency i - 2h; frequencies -h..h are
+    # representable (for even n the unpaired Nyquist bin), and frequency k
+    # lands on profile bin (k + h) mod n
+    freq = np.arange(2 * n - 1) - 2 * h
+    past = (np.abs(freq) > h).astype(np.float64)
+    return _read_only(past), _read_only((freq + h) % n)
+
+
 def _profile_conv(pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, float]:
-    """The convolution of two mass profiles and its mass past the band.
+    """The convolution of two mass profiles and its mass past the band, one
+    dot product with the mask of :func:`_band_tables`.
     Profile bin i is frequency ``i - n//2``, convolution bin i ``i - 2*(n//2)``."""
-    h = pa.shape[0] // 2
     conv = np.convolve(pa, pb)
-    # frequencies -h..h are representable (for even n the unpaired Nyquist
-    # bin); only content beyond them folds onto foreign frequencies
-    return conv, float(np.add.reduce(conv[:h]) + np.add.reduce(conv[3 * h + 1:]))
+    return conv, float(conv.dot(_band_tables(pa.shape[0])[0]))
 
 
 def _fold(conv: np.ndarray, n: int) -> np.ndarray:
-    """Fold a convolution of :func:`_profile_conv` back into the band."""
-    h = n // 2
-    # frequency k lands on bin (k + h) mod n
-    folded = conv[h:h + n].copy()
-    folded[n - h:] += conv[:h]
-    folded[:n - 1 - h] += conv[n + h:]
-    return folded
+    """Fold a convolution of :func:`_profile_conv` back into the band with
+    one ``np.bincount`` over the target bins of :func:`_band_tables`.  No
+    profile bin has more than two sources, its own frequency and one
+    wrapped, so the sum is bitwise the centre bin plus the wrapped one."""
+    return np.bincount(_band_tables(n)[1], conv, n)
 
 
 def _wider(ra: tuple, rb: tuple) -> tuple:
@@ -302,18 +314,28 @@ def _kept(items) -> dict:
     return out
 
 
+def _invertible(body: np.ndarray) -> bool:
+    """Whether ``|body|`` is at least 1e-200 and finite everywhere; False
+    when it is NaN anywhere."""
+    mag = np.abs(body)
+    return bool(np.min(mag) >= 1e-200 and np.max(mag) < np.inf)
+
+
 def _pair_plan(da: dict, db: dict) -> dict:
     """The graded product of two banks as ``{mask: [(aa, ab, negative),
     ...]}``: output masks in the order of first appearance, each with the
-    factor pairs to multiply and sum in the order given."""
+    factor pairs to multiply and sum in the order given.  :func:`mul_sign`
+    runs only for pairs whose masks both carry a generator."""
     pairs: dict[int, list] = {}
     for ma, aa in da.items():
+        # eps is even and never contributes a sign; left in ``ma`` it would
+        # count every generator of ``mb`` as a swap
+        odd = ma & ~EPS
         for mb, ab in db.items():
             if not ma & mb:
-                # eps is even and never contributes a sign; left in ``ma``
-                # it would count every generator of ``mb`` as a swap
+                # with no generator on one side nothing swaps: the sign is +1
                 pairs.setdefault(ma | mb, []).append(
-                    (aa, ab, mul_sign(ma & ~EPS, mb) < 0))
+                    (aa, ab, mul_sign(odd, mb) < 0 if odd and mb & ~EPS else False))
     return pairs
 
 
@@ -493,7 +515,8 @@ class GridScalar:
     def _guard(self, other: "GridScalar") -> list:
         """Per axis the convolution of the factors' profiles, or None where
         their reaches keep ``self * other`` in band; raises
-        :class:`AliasingDetected` when the product would alias."""
+        :class:`AliasingDetected` when the mass past the band, as
+        :func:`_profile_conv` takes it, exceeds ``alias_tol`` of the total."""
         convs = []
         for axis, n in enumerate(self.grid.shape):
             if self.reach[axis] + other.reach[axis] <= (n - 1) // 2:
@@ -578,8 +601,9 @@ class GridScalar:
         if self.phases != (0, 0):
             raise ValueError("cannot invert a twisted field")
         body = self.coeffs.get(0)
-        if body is None or not np.min(np.abs(body)) >= 1e-200:
-            raise NoBody("field body vanishes or is NaN somewhere; not invertible")
+        if body is None or not _invertible(body):
+            raise NoBody("field body vanishes, is infinite or is NaN somewhere; "
+                         "not invertible")
         binv = GridScalar(self.grid, _frozen({0: 1.0 / body}))
         unit = self * binv
         # the soul of ``unit``, profiles measured from the data

@@ -4,7 +4,7 @@ import pytest
 from supertorus.geometry import (
     FrameField,
     NonOrientedFrame,
-    cartan_residual,
+    SingularSolve,
     curvature_of_torsion,
     dirac_apply,
     divergence,
@@ -15,6 +15,7 @@ from supertorus.geometry import (
     spin_cov_deriv,
     sum_fields,
 )
+from supertorus.grassmann import NoBody
 from supertorus.grids import EPS, GridScalar, TorusGrid
 
 
@@ -27,6 +28,19 @@ def wave(g, k, amp=1.0, trig="cos", mask=0):
     ph = 2 * np.pi * (k[0] * x1 / g.periods[0] + k[1] * x2 / g.periods[1])
     arr = amp * (np.cos(ph) if trig == "cos" else np.sin(ph))
     return GridScalar(g, {mask: arr})
+
+
+def cartan_residual(e: FrameField, gamma) -> float:
+    """Max-abs residual of both structure equations: the oracle for
+    :func:`levi_civita_form`."""
+    ehat = e.coframe
+    res = 0.0
+    for k, sign in ((0, -1.0), (1, 1.0)):
+        other = ehat[1 - k]
+        dk = ehat[k][1].partial(0) - ehat[k][0].partial(1)
+        wedge = gamma[0] * other[1] - gamma[1] * other[0]
+        res = max(res, (dk - sign * wedge).max_abs())
+    return res
 
 
 def test_flat_frame_derived_data():
@@ -124,6 +138,25 @@ def test_nan_conformal_factor_rejected():
     u[3, 5] = np.nan
     with pytest.raises(NonOrientedFrame):
         FrameField.conformal(g, GridScalar(g, {0: u}))
+
+
+@pytest.mark.parametrize("inf", [np.inf, -np.inf])
+def test_infinite_frame_fails_at_its_density(inf):
+    """+inf on the diagonal, or -inf off it against a positive partner, makes
+    the determinant body +inf at one point and positive everywhere else: the
+    frame is built, and its density and coframe raise."""
+    g = grid()
+    arr = wave(g, (1, 0), amp=0.1).coeffs[0].copy()
+    arr[3, 5] = inf
+    with np.errstate(all="ignore"):  # the profile transform meets the inf
+        bad = GridScalar(g, {0: arr})
+    one, half, zero = (GridScalar.constant(g, c) for c in (1.0, 0.5, 0.0))
+    e = FrameField([[one + bad, zero], [zero, one]] if inf > 0 else [[one, bad], [half, one]])
+    assert e.determinant.coeffs[0][3, 5] == np.inf
+    with pytest.raises(NoBody, match="infinite"):
+        e.density
+    with pytest.raises(SingularSolve, match="infinite"):
+        e.coframe
 
 
 def test_spin_cov_deriv_constant_flat():

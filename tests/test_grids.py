@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from supertorus import grids
 from supertorus.grassmann import (GeneratorMismatch, GrassmannElement, NoBody, mul_sign,
                                   random_element)
 from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, TorusGrid,
                               _fd_partial, _fold, _measure_profiles, _nonzero,
-                              _profile_conv, _spectral_partial, _spectral_tables)
+                              _pair_plan, _profile_conv, _spectral_partial,
+                              _spectral_tables)
 
 
 def grid32(mode="spectral", periods=(1.0, 1.0)):
@@ -141,6 +143,44 @@ def test_product_and_difference_leave_operands_alone():
         assert not any(arr.flags.writeable for arr in f.coeffs.values())
 
 
+MASKS4 = [m | e for m in range(16) for e in (0, EPS)]
+
+
+def test_pair_plan_signs_every_disjoint_pair():
+    """Each plan entry carries its factors' masks here, so the flag of every
+    disjoint pair over 4 generators, with and without eps, can be read off."""
+    plan = _pair_plan({m: m for m in MASKS4}, {m: m for m in MASKS4})
+    seen = set()
+    for mask, entries in plan.items():
+        for ma, mb, negative in entries:
+            assert not ma & mb and ma | mb == mask
+            assert negative == (mul_sign(ma & ~EPS, mb) < 0), (ma, mb)
+            seen.add((ma, mb))
+    assert seen == {(ma, mb) for ma in MASKS4 for mb in MASKS4 if not ma & mb}
+
+
+def test_product_signs_only_pairs_with_generators_on_both_sides(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul_sign(a, b)
+
+    monkeypatch.setattr(grids, "mul_sign", counted)
+    g = grid32()
+    masks = (0, EPS, 0b1, 0b10 | EPS, 0b101)
+    a = sum((wave(g, (i, 1), amp=0.5 + i, mask=m) for i, m in enumerate(masks)),
+            GridScalar.zeros(g))
+    b = sum((wave(g, (1, i), amp=1.5 - i, trig="sin", mask=m) for i, m in enumerate(masks)),
+            GridScalar.zeros(g))
+    a * b
+    a.integral(4, weight=b)
+    want = [(ma & ~EPS, mb) for ma in masks for mb in masks
+            if not ma & mb and ma & ~EPS and mb & ~EPS]
+    assert calls == want + want
+    assert all(x and y & ~EPS for x, y in calls)
+
+
 def _profile_conv_by_add_at(pa, pb):
     """Fold of the convolution with one ``np.add.at`` over every bin."""
     n = pa.shape[0]
@@ -162,6 +202,14 @@ def test_profile_fold_matches_add_at(n):
         assert np.array_equal(_fold(conv, n), want_folded)
         assert abs(wrapped - want_wrapped) <= 1e-15 * want_wrapped
         assert float(conv.sum()) == want_total
+        assert (wrapped > 1e-14) == (want_wrapped > 1e-14)
+        # the same draw scaled to a wrapped mass just either side of the
+        # guard's 1e-14 deadband
+        for side in (1 - 1e-6, 1 + 1e-6) if want_wrapped else ():
+            qa = pa * (side * 1e-14 / want_wrapped)
+            wrapped = _profile_conv(qa, pb)[1]
+            want_wrapped_q = _profile_conv_by_add_at(qa, pb)[1]
+            assert (wrapped > 1e-14) == (want_wrapped_q > 1e-14) == (side > 1)
 
 
 @pytest.mark.parametrize("mode", ["fd2", "fd4"])
@@ -268,6 +316,17 @@ def test_inverse_rejects_a_nan_body():
     body[3, 5] = np.nan
     with pytest.raises(NoBody):
         GridScalar(g, {0: body}).inv()
+
+
+@pytest.mark.parametrize("inf", [np.inf, -np.inf])
+def test_inverse_rejects_an_infinite_body(inf):
+    g = grid32()
+    body = 1.5 + wave(g, (1, 1), amp=0.3).coeffs[0]
+    body[3, 5] = inf
+    with np.errstate(all="ignore"):  # the profile transform meets the inf
+        f = GridScalar(g, {0: body})
+    with pytest.raises(NoBody, match="infinite"):
+        f.inv()
 
 
 @pytest.mark.parametrize("phases", [(1, 0), (0, 1), (1, 1)])

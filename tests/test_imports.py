@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is used, every private
 helper of the package has a caller, every cross-reference in a package
-docstring names something the package defines, and every console script
-resolves."""
+docstring names something the package defines, every console script
+resolves, and every source file parses at the Python floor that
+``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -179,3 +180,38 @@ def test_console_script_scan():
 def test_console_scripts_resolve():
     for name, target in console_scripts((ROOT / "pyproject.toml").read_text()).items():
         assert callable(resolve(target)), name
+
+
+def python_floor(pyproject: str) -> tuple[int, int]:
+    """``(major, minor)`` of the ``requires-python = ">=X.Y"`` line."""
+    found = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', pyproject, re.M)
+    return int(found.group(1)), int(found.group(2))
+
+
+def syntax_above(source: str, floor: tuple[int, int]) -> str | None:
+    """The error of parsing ``source`` with the grammar of Python ``floor``,
+    or None when it parses."""
+    try:
+        ast.parse(source, feature_version=floor)
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_floor_scan_flags_an_exception_group():
+    assert python_floor('[project]\nrequires-python = ">=3.10"\n') == (3, 10)
+    src = "try:\n    pass\nexcept{} ValueError:\n    pass\n"
+    assert syntax_above(src.format("*"), (3, 10)) is not None
+    assert syntax_above(src.format(""), (3, 10)) is None
+    match = "match x:\n    case 1:\n        pass\n"
+    assert syntax_above(match, (3, 9)) is not None
+    assert syntax_above(match, (3, 10)) is None
+
+
+SOURCES = [p for top in ("src", "tests", "bench") for p in sorted((ROOT / top).rglob("*.py"))]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_at_the_python_floor(path):
+    floor = python_floor((ROOT / "pyproject.toml").read_text())
+    assert syntax_above(path.read_text(), floor) is None
