@@ -2,11 +2,11 @@
 
 The package builds a small laboratory out of four layers:
 
-* ``grassmann`` -- a finite-dimensional real exterior algebra (anticommuting
-  coefficients) with one more even nilpotent ``eps`` (``eps**2 = 0``), whose
+* ``grassmann`` -- the real exterior algebra on sixteen anticommuting
+  generators with one more even nilpotent ``eps`` (``eps**2 = 0``), whose
   coefficient carries exact first variations,
-* ``clifford`` -- the real rank-two spinor module of Cl(2,0) with its metric
-  and symplectic pairings, the spin-1/2 insertion and frame conventions,
+* ``clifford`` -- the real rank-two spinor module of Cl(2,0) with its
+  symplectic pairing, the spin-1/2 insertion and frame conventions,
 * ``grids``/``geometry`` -- spectral and finite-difference calculus on a
   periodic grid with a Grassmann-even zweibein,
 * ``fields``/``functionals`` -- the physical fields and the energy

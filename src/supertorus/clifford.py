@@ -16,7 +16,7 @@ Component rings are generic: plain numbers, ``Fraction``, ``complex``, the
 grid scalars of :mod:`grids`, or bare numpy arrays.  This module is the
 single place where a gamma matrix touches a component: the field, geometry
 and functional layers reach the Clifford action, the spin-1/2 projection and
-the spinor pairings only through the functions here.  :func:`mat_apply` skips
+the spinor pairing only through the functions here.  :func:`mat_apply` skips
 zero matrix entries and passes the component of a unit entry through
 unchanged, so grid fields pay for no zero-scaled or copied arrays; a row
 without a nonzero entry is ``0 * pair[0]``.  All scalar factors of 1/2 are
@@ -119,19 +119,15 @@ def theta_insert(s: MajoranaSpinor) -> SpinorForm:
     ))
 
 
-def spinor_pair(kind: str, s: MajoranaSpinor, t: MajoranaSpinor):
-    """Metric or symplectic pairing of two spinor values.
+def omega(s: MajoranaSpinor, t: MajoranaSpinor):
+    """Symplectic pairing of two spinor values.
 
     Component products are taken in argument order, which is what produces
     the graded (anti)symmetries for odd coefficients.
     """
     check_uniform(*s.components, *t.components)
-    if kind == "metric":
-        return s.components[0] * t.components[0] + s.components[1] * t.components[1]
-    if kind == "symplectic":
-        rotated = mat_apply(ACI, s.components)
-        return rotated[0] * t.components[0] + rotated[1] * t.components[1]
-    raise ValueError(f"unknown pairing kind {kind!r}")
+    rotated = mat_apply(ACI, s.components)
+    return rotated[0] * t.components[0] + rotated[1] * t.components[1]
 
 
 def symplectic_dual(s: MajoranaSpinor) -> DualSpinor:

@@ -19,7 +19,7 @@ q-split, are its ``quantize`` and ``theta_insert`` in that layout.
 
 Odd fields draw their generators from disjoint blocks so that no monomial of
 the functionals can collide: twisted spinors use generators 0-2, gravitinos
-3-5, variational spinors 6-7 (with the default budget of 8).
+3-5, variational spinors 6-7.
 
 The trig-mode constructor is the only entry point for field data, which keeps
 every suite configuration an exactly band-limited trigonometric polynomial:
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import MajoranaSpinor, SpinorForm, quantize, spinor_pair, theta_insert
+from .clifford import MajoranaSpinor, SpinorForm, omega, quantize, theta_insert
 from .geometry import FrameField, sum_fields
 from .grids import GridScalar, ShapeMismatch, TorusGrid
 
@@ -44,8 +44,6 @@ GENERATOR_BLOCKS = {
     "map": (),
     "torsion": (),
 }
-
-DEFAULT_GENS = 8
 
 
 class GeneratorBudgetExceeded(ValueError):
@@ -187,27 +185,24 @@ def _trig_array(grid: TorusGrid, wavevector, amplitude) -> np.ndarray:
     return amplitude * (np.sin(phase) if use_sin else np.cos(phase))
 
 
-def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2,
-                    gens: int = DEFAULT_GENS, blocks=None):
-    """Assemble a field from a deterministic mode table."""
-    blocks = blocks or GENERATOR_BLOCKS
+def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2):
+    """Assemble a field of ``kind`` from a deterministic table of its modes."""
     field = zero_field(kind, grid, dim)
     comps = field if kind == "torsion" else field.comps
+    block = GENERATOR_BLOCKS[kind]
     nyq = min(grid.shape[0], grid.shape[1]) // 2 - 1
     for spec in specs:
+        if spec.kind != kind:
+            raise ValueError(f"{spec.kind} mode given to a {kind} field")
         if max(abs(spec.wavevector[0]), abs(spec.wavevector[1])) > nyq:
             raise ValueError(f"mode {spec.wavevector} beyond the grid bandwidth")
-        block = blocks[kind]
         if spec.generator >= 0:
-            if spec.generator >= gens:
-                raise GeneratorBudgetExceeded(
-                    f"generator {spec.generator} outside the budget {gens}")
-            if block and spec.generator not in block:
-                raise GeneratorBudgetExceeded(
-                    f"generator {spec.generator} outside the {kind} block {block}")
             if not block:
                 raise GeneratorBudgetExceeded(
                     f"{kind} fields are commuting; generator must be -1")
+            if spec.generator not in block:
+                raise GeneratorBudgetExceeded(
+                    f"generator {spec.generator} outside the {kind} block {block}")
         mask = 0 if spec.generator < 0 else 1 << spec.generator
         arr = _trig_array(grid, spec.wavevector, spec.amplitude)
         arr.flags.writeable = False  # handed to the field as it is, not copied
@@ -257,4 +252,4 @@ def spin32_frame_values(vals, s):
 
 def spinor_omega(s, t):
     """Symplectic spinor pairing on component pairs, first argument left."""
-    return spinor_pair("symplectic", MajoranaSpinor(tuple(s)), MajoranaSpinor(tuple(t)))
+    return omega(MajoranaSpinor(tuple(s)), MajoranaSpinor(tuple(t)))

@@ -32,14 +32,13 @@ from .fields import (
     MapField,
     ParityMismatch,
     TwistedSpinorField,
-    _walk,
     gravitino_frame_values,
     quantize_frame_values,
     spin32_frame_values,
     spinor_omega,
 )
 from .geometry import FrameField, dirac_apply, integrate, sum_fields
-from .grassmann import EPS, GeneratorMismatch, GrassmannElement
+from .grassmann import EPS, GrassmannElement
 from .grids import GridScalar, ShapeMismatch
 
 
@@ -109,19 +108,17 @@ def harmonic_density(dphi) -> GridScalar:
     return sum_fields(row[a] * row[a] for row in dphi for a in range(len(row)))
 
 
-def harmonic_energy(phi: MapField, e: FrameField, gens: int = 8):
-    _check_gens(gens, phi, e)
-    return integrate(harmonic_density(map_frame_differential(phi, e)), e, gens)
+def harmonic_energy(phi: MapField, e: FrameField):
+    return integrate(harmonic_density(map_frame_differential(phi, e)), e)
 
 
 def dirac_density(psi: TwistedSpinorField, e: FrameField, A=None) -> GridScalar:
     return pairing_E_density(psi.comps, dirac_apply(psi.comps, e, A))
 
 
-def dirac_action(psi: TwistedSpinorField, e: FrameField, A=None, gens: int = 8):
+def dirac_action(psi: TwistedSpinorField, e: FrameField, A=None):
     """Integrated graded Dirac pairing; independent of the torsion term."""
-    _check_gens(gens, psi, e, A)
-    return integrate(dirac_density(psi, e, A), e, gens)
+    return integrate(dirac_density(psi, e, A), e)
 
 
 def gravitino_split_frame_values(chi: GravitinoField, e: FrameField):
@@ -137,12 +134,10 @@ def quartic_density(vals, qvals, psi: TwistedSpinorField) -> GridScalar:
     return q_pairing * pairing_E_density(psi.comps, psi.comps)
 
 
-def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
-                     e: FrameField, gens: int = 8):
+def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField, e: FrameField):
     """Quartic conformal invariant in its index form
     ``sum_ij omega(chi_i, gamma^j gamma^i chi_j) (psi, psi)``; equals twice
     the quartic term of the full action."""
-    _check_gens(gens, chi, psi, e)
     vals = gravitino_frame_values(chi, e)
     acc = None
     for i in range(2):
@@ -150,7 +145,7 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField,
             rotated = mat_apply(GAMMA_PRODUCTS[j][i], vals[j])
             term = spinor_omega(vals[i], rotated)
             acc = term if acc is None else acc + term
-    return integrate(acc * pairing_E_density(psi.comps, psi.comps), e, gens)
+    return integrate(acc * pairing_E_density(psi.comps, psi.comps), e)
 
 
 def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
@@ -165,14 +160,12 @@ def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
 
 
 def coupling_mixed(chi: GravitinoField, phi: MapField, psi: TwistedSpinorField,
-                   e: FrameField, gens: int = 8):
-    _check_gens(gens, chi, phi, psi, e)
+                   e: FrameField):
     _, qvals = gravitino_split_frame_values(chi, e)
-    return integrate(mixed_density(qvals, map_frame_differential(phi, e), psi), e, gens)
+    return integrate(mixed_density(qvals, map_frame_differential(phi, e), psi), e)
 
 
-def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
-                       e: FrameField, gens: int = 8):
+def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField, e: FrameField):
     """Crossed quadratic gravitino-spinor term
     ``sum_aij omega(chi_i, gamma^j gamma^i psi^a) omega(psi^a, chi_j)``.
 
@@ -180,7 +173,6 @@ def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
     is super-Weyl invariant and witnesses no rejection by the gravitino
     shift; whether the paper's ruled-out term contracts otherwise is open.
     """
-    _check_gens(gens, chi, psi, e)
     vals = gravitino_frame_values(chi, e)
     dim = psi.dim
     acc = None
@@ -191,34 +183,34 @@ def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField,
                 rotated = mat_apply(GAMMA_PRODUCTS[j][i], spinor_a)
                 term = spinor_omega(vals[i], rotated) * spinor_omega(spinor_a, vals[j])
                 acc = term if acc is None else acc + term
-    return integrate(acc, e, gens)
+    return integrate(acc, e)
 
 
 def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
-                 e: FrameField, A=None, gens: int = 8) -> ActionBreakdown:
+                 e: FrameField) -> ActionBreakdown:
     """Full action: harmonic + Dirac + gravitino couplings.
 
     The mixed entry carries its factor of four, so the breakdown sums
     exactly to the total.  The curvature-square and scalar entries belong to
-    the torsion functionals and stay zero here.  The frame values ``dphi``,
+    the torsion functionals and stay zero here, and the Dirac term runs
+    without torsion, which it cannot see.  The frame values ``dphi``,
     ``chi(e_k)`` and ``(q chi)(e_k)`` are evaluated once and shared.
     """
-    _check_gens(gens, phi, psi, chi, e, A)
-    zero = GrassmannElement.zero(gens)
+    zero = GrassmannElement.zero()
     dphi = map_frame_differential(phi, e)
     vals, qvals = gravitino_split_frame_values(chi, e)
     return ActionBreakdown(
-        harmonic=integrate(harmonic_density(dphi), e, gens),
-        dirac=integrate(dirac_density(psi, e, A), e, gens),
-        quartic_coupling=integrate(quartic_density(vals, qvals, psi), e, gens),
-        mixed_coupling=integrate(mixed_density(qvals, dphi, psi).scale(4.0), e, gens),
+        harmonic=integrate(harmonic_density(dphi), e),
+        dirac=integrate(dirac_density(psi, e), e),
+        quartic_coupling=integrate(quartic_density(vals, qvals, psi), e),
+        mixed_coupling=integrate(mixed_density(qvals, dphi, psi).scale(4.0), e),
         f_squared=zero,
         scal_term=zero,
     )
 
 
 def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
-                    A=None, gens: int = 8) -> ActionBreakdown:
+                    A=None) -> ActionBreakdown:
     """Torsion functionals: Dirac term with torsion plus curvature square.
 
     The scalar-curvature entry is identically zero on the flat torus, where
@@ -226,32 +218,17 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
     """
     from .geometry import curvature_of_torsion, torsion_zero
 
-    _check_gens(gens, phi, psi, e, A)
     A = A if A is not None else torsion_zero(e.grid)
     f12 = curvature_of_torsion(A)
     rho_inv = e.determinant
     fsq_density = f12 * f12 * rho_inv * rho_inv
-    zero = GrassmannElement.zero(gens)
+    zero = GrassmannElement.zero()
     return ActionBreakdown(
-        harmonic=integrate(harmonic_density(map_frame_differential(phi, e)), e, gens),
-        dirac=integrate(dirac_density(psi, e, A), e, gens),
+        harmonic=integrate(harmonic_density(map_frame_differential(phi, e)), e),
+        dirac=integrate(dirac_density(psi, e, A), e),
         quartic_coupling=zero,
         mixed_coupling=zero,
-        f_squared=integrate(fsq_density, e, gens),
+        f_squared=integrate(fsq_density, e),
         scal_term=zero,
     )
 
-
-def _check_gens(gens: int, *inputs):
-    """Raise :class:`GeneratorMismatch` unless ``gens`` covers every
-    generator that the input fields (``None`` skipped) use."""
-    if not 0 <= gens <= 16:
-        raise ValueError(f"generator count must be in [0, 16], got {gens}")
-    used = 0
-    for f in _walk(getattr(x, "comps", x) for x in inputs if x is not None):
-        for mask in f.coeffs:
-            used |= mask
-    highest = (used & (EPS - 1)).bit_length() - 1
-    if highest >= gens:
-        raise GeneratorMismatch(
-            f"gens={gens} does not cover generator {highest} of the input fields")

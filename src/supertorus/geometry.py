@@ -210,10 +210,10 @@ def curvature_of_torsion(A) -> GridScalar:
     return A[1].partial(0) - A[0].partial(1)
 
 
-def integrate(f: GridScalar, e: FrameField, gens: int = 8):
+def integrate(f: GridScalar, e: FrameField):
     """Integral of an even scalar field against the Riemannian volume;
     the weighted field is never stored (see :meth:`GridScalar.integral`)."""
-    return f.integral(gens, weight=e.density)
+    return f.integral(weight=e.density)
 
 
 def divergence(J, e: FrameField) -> GridScalar:

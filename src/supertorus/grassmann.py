@@ -1,8 +1,9 @@
 """Finite-dimensional real Grassmann algebra with one even nilpotent ``eps``.
 
-An element of the algebra over generators ``g0 .. g{N-1}`` is stored as a
-sparse map from a generator subset (bitmask) to its coefficient.  The product
-of basis monomials picks up one sign per transposition needed to interleave
+The algebra has sixteen odd generators ``g0 .. g15``; a computation over
+fewer of them embeds unchanged.  An element is stored as a sparse map from a
+generator subset (bitmask) to its coefficient.  The product of basis
+monomials picks up one sign per transposition needed to interleave
 the two ascending index lists, and squares of generators vanish, which is all
 the structure the rest of the package relies on:
 
@@ -30,7 +31,8 @@ from typing import Iterable, Mapping
 
 
 class GeneratorMismatch(ValueError):
-    """Two elements over different generator counts were combined."""
+    """A monomial or generator index lies outside the sixteen generators and
+    ``eps``."""
 
 
 class NoBody(ZeroDivisionError):
@@ -39,7 +41,7 @@ class NoBody(ZeroDivisionError):
 
 _SCALARS = (int, float, complex, Fraction)
 
-# the generator count is capped at 16, so bit 16 is free
+# bits 0-15 are the generators, so bit 16 is free
 EPS = 1 << 16
 
 
@@ -71,80 +73,70 @@ def _format_monomial(mask: int) -> str:
 
 
 class GrassmannElement:
-    """Sparse element of the exterior algebra over ``gens`` generators,
+    """Sparse element of the exterior algebra over the sixteen generators,
     with ``eps`` (:data:`EPS`) adjoined.
 
     Values are immutable by convention: no method mutates ``coeffs`` after
     construction, so elements can be shared freely across threads.
     """
 
-    __slots__ = ("gens", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, gens: int, coeffs: Mapping[int, object] | None = None):
-        if not 0 <= gens <= 16:
-            raise ValueError(f"generator count must be in [0, 16], got {gens}")
-        self.gens = gens
+    def __init__(self, coeffs: Mapping[int, object] | None = None):
         clean: dict[int, object] = {}
         if coeffs:
-            limit = 1 << gens
             for mask, c in coeffs.items():
-                if not 0 <= mask & ~EPS < limit:
+                if not 0 <= mask < 2 * EPS:
                     raise GeneratorMismatch(
-                        f"monomial {mask:#x} uses bits beyond {gens} generators and eps")
+                        f"monomial {mask:#x} uses bits beyond the generators and eps")
                 if c != 0:
                     clean[mask] = c
         self.coeffs = clean
 
     @classmethod
-    def _made(cls, gens: int, coeffs: dict) -> "GrassmannElement":
+    def _made(cls, coeffs: dict) -> "GrassmannElement":
         """Element over masks and nonzero coefficients taken from a valid
         element; none of the constructor's checks run."""
         self = object.__new__(cls)
-        self.gens = gens
         self.coeffs = coeffs
         return self
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, gens: int) -> "GrassmannElement":
-        return cls(gens)
+    def zero(cls) -> "GrassmannElement":
+        return cls()
 
     @classmethod
-    def scalar(cls, value, gens: int) -> "GrassmannElement":
-        return cls(gens, {0: value})
+    def scalar(cls, value) -> "GrassmannElement":
+        return cls({0: value})
 
     @classmethod
-    def one(cls, gens: int) -> "GrassmannElement":
-        return cls.scalar(1.0, gens)
+    def one(cls) -> "GrassmannElement":
+        return cls.scalar(1.0)
 
     @classmethod
-    def generator(cls, index: int, gens: int, coeff=1.0) -> "GrassmannElement":
-        if not 0 <= index < gens:
-            raise GeneratorMismatch(f"generator {index} outside budget {gens}")
-        return cls(gens, {1 << index: coeff})
+    def generator(cls, index: int, coeff=1.0) -> "GrassmannElement":
+        return cls.monomial([index], coeff)
 
     @classmethod
-    def monomial(cls, indices: Iterable[int], gens: int, coeff=1.0) -> "GrassmannElement":
+    def monomial(cls, indices: Iterable[int], coeff=1.0) -> "GrassmannElement":
         mask = 0
         for i in indices:
             # index 16 would otherwise land on the ``eps`` bit
-            if not 0 <= i < gens:
-                raise GeneratorMismatch(f"generator {i} outside budget {gens}")
+            if not 0 <= i < 16:
+                raise GeneratorMismatch(f"generator {i} outside g0 .. g15")
             bit = 1 << i
             if mask & bit:
-                return cls.zero(gens)
+                return cls.zero()
             mask |= bit
-        return cls(gens, {mask: coeff})
+        return cls({mask: coeff})
 
     def _lift(self, other) -> "GrassmannElement":
         if isinstance(other, GrassmannElement):
-            if other.gens != self.gens:
-                raise GeneratorMismatch(
-                    f"generator counts differ: {self.gens} vs {other.gens}")
             return other
         if isinstance(other, _SCALARS):
-            return GrassmannElement.scalar(other, self.gens)
+            return GrassmannElement.scalar(other)
         return NotImplemented
 
     # -- ring structure ----------------------------------------------------
@@ -160,12 +152,12 @@ class GrassmannElement:
                 out.pop(mask, None)
             else:
                 out[mask] = s
-        return GrassmannElement(self.gens, out)
+        return GrassmannElement(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannElement(self.gens, {m: -c for m, c in self.coeffs.items()})
+        return GrassmannElement({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -173,15 +165,11 @@ class GrassmannElement:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             if other == 0:
-                return GrassmannElement.zero(self.gens)
-            return GrassmannElement(
-                self.gens, {m: c * other for m, c in self.coeffs.items()})
+                return GrassmannElement.zero()
+            return GrassmannElement({m: c * other for m, c in self.coeffs.items()})
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
@@ -201,20 +189,11 @@ class GrassmannElement:
                     out.pop(mask, None)
                 else:
                     out[mask] = s
-        return GrassmannElement(self.gens, out)
+        return GrassmannElement(out)
 
     def __rmul__(self, other):
         if isinstance(other, _SCALARS):
             return self * other
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, _SCALARS):
-            # 1/int is kept exact; Fraction * float degrades to float as usual.
-            inv = Fraction(1, other) if isinstance(other, int) else 1 / other
-            return self * inv
-        if isinstance(other, GrassmannElement):
-            return self * other.inverse()
         return NotImplemented
 
     # -- structure maps ----------------------------------------------------
@@ -226,20 +205,18 @@ class GrassmannElement:
 
     @property
     def soul(self) -> "GrassmannElement":
-        return GrassmannElement(
-            self.gens, {m: c for m, c in self.coeffs.items() if m})
+        return GrassmannElement({m: c for m, c in self.coeffs.items() if m})
 
     @property
     def value(self) -> "GrassmannElement":
         """The ``eps``-free part."""
-        return GrassmannElement._made(
-            self.gens, {m: c for m, c in self.coeffs.items() if not m & EPS})
+        return GrassmannElement._made({m: c for m, c in self.coeffs.items() if not m & EPS})
 
     @property
     def variation(self) -> "GrassmannElement":
         """The coefficient of ``eps``: the first variation."""
         return GrassmannElement._made(
-            self.gens, {m & ~EPS: c for m, c in self.coeffs.items() if m & EPS})
+            {m & ~EPS: c for m, c in self.coeffs.items() if m & EPS})
 
     @property
     def parity(self) -> int | None:
@@ -257,8 +234,7 @@ class GrassmannElement:
             raise NoBody("element has vanishing body and is not invertible")
         inv_b = Fraction(1, b) if isinstance(b, int) else 1 / b
         u = self.soul * inv_b
-        acc = GrassmannElement.scalar(inv_b, self.gens)
-        term = GrassmannElement.scalar(inv_b, self.gens)
+        acc = term = GrassmannElement.scalar(inv_b)
         while True:
             term = -(term * u)
             if not term.coeffs:
@@ -272,13 +248,13 @@ class GrassmannElement:
 
     def __eq__(self, other):
         if isinstance(other, _SCALARS):
-            other = GrassmannElement.scalar(other, self.gens)
+            other = GrassmannElement.scalar(other)
         if not isinstance(other, GrassmannElement):
             return NotImplemented
-        return self.gens == other.gens and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.gens, frozenset(self.coeffs.items())))
+        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -297,7 +273,8 @@ DualScalar = GrassmannElement
 
 def random_element(rng, gens: int, terms: int = 6, parity: int | None = None,
                    body: float | None = None, exact: bool = False) -> GrassmannElement:
-    """Deterministic random element for the property suites.
+    """Deterministic random element for the property suites, its monomials
+    drawn from the first ``gens`` generators.
 
     ``rng`` is a ``numpy.random.Generator``; coefficients are uniform in
     [-1, 1] (or small exact Fractions when ``exact``).  ``parity`` restricts
@@ -318,4 +295,4 @@ def random_element(rng, gens: int, terms: int = 6, parity: int | None = None,
             coeffs[0] = Fraction(body).limit_denominator(64) if exact else body
         else:
             coeffs.pop(0, None)
-    return GrassmannElement(gens, coeffs)
+    return GrassmannElement(coeffs)

@@ -491,9 +491,6 @@ class GridScalar:
     def __sub__(self, other):
         return self._combine(other, subtract=True)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c: float) -> "GridScalar":
         c = float(c)
         if c == 0.0:
@@ -581,14 +578,6 @@ class GridScalar:
             return NotImplemented
         return other * self
 
-    def __truediv__(self, other):
-        if isinstance(other, Number):
-            return self.scale(1.0 / float(other))
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
     # -- nonlinear maps ----------------------------------------------------------
 
     def inv(self) -> "GridScalar":
@@ -647,18 +636,23 @@ class GridScalar:
                        * _profile_weights(grid.shape[axis], phase))
         return GridScalar._made(grid, value, self.phases, tuple(dprof), self.reach)
 
-    def integral(self, gens: int = 8, weight: "GridScalar | None" = None):
+    def integral(self, weight: "GridScalar | None" = None):
         """Plain quadrature sum times the cell volume.
 
-        Returns a :class:`GrassmannElement` over ``gens`` generators whose
-        ``eps`` monomials integrate the variation.  numpy's pairwise
-        summation keeps the reduction deterministic for a fixed shape.
+        Returns a :class:`GrassmannElement` whose ``eps`` monomials integrate
+        the variation.  numpy's pairwise summation keeps the reduction
+        deterministic for a fixed shape.
 
         With a ``weight`` field the integrand is ``self * weight``.  The
         product runs under the same grid check and aliasing guard as
         ``*`` but is never stored; the result equals
-        ``(self * weight).integral(gens)`` bitwise.
+        ``(self * weight).integral()`` bitwise.  A twisted integrand is a
+        section, not a function, and raises ``ValueError``.
         """
+        twist = self.phases if weight is None else (
+            (self.phases[0] + weight.phases[0]) % 2, (self.phases[1] + weight.phases[1]) % 2)
+        if twist != (0, 0):
+            raise ValueError("cannot integrate a twisted integrand")
         vol = self.grid.cell_volume
         if weight is None:
             sums = {m: float(a.sum()) for m, a in self.coeffs.items()}
@@ -679,7 +673,7 @@ class GridScalar:
                     (np.subtract if negative else np.add)(acc, scratch, out=acc)
                 if _nonzero(acc):
                     sums[m] = float(acc.sum())
-        return GrassmannElement(gens, {m: c * vol for m, c in sums.items()})
+        return GrassmannElement({m: c * vol for m, c in sums.items()})
 
     # -- misc --------------------------------------------------------------------
 

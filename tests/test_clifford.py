@@ -10,8 +10,8 @@ from supertorus.clifford import (
     MajoranaSpinor,
     RingMismatch,
     mat_apply,
+    omega,
     quantize,
-    spinor_pair,
     symplectic_dual,
     theta_insert,
 )
@@ -32,6 +32,12 @@ THETA_BAR = (INV_SQRT2, -1j * INV_SQRT2)
 
 def spin(c1, c2):
     return MajoranaSpinor((c1, c2))
+
+
+def metric(s, t):
+    """Metric pairing of two spinor values, component products in argument
+    order."""
+    return s.components[0] * t.components[0] + s.components[1] * t.components[1]
 
 
 def rand_spinor(rng, parity=None):
@@ -83,7 +89,7 @@ def test_clifford_relation_squares_to_norm():
 
 def test_ring_mismatch():
     with pytest.raises(RingMismatch):
-        MajoranaSpinor((1.0, GrassmannElement.one(N)))
+        MajoranaSpinor((1.0, GrassmannElement.one()))
 
 
 def test_quantize_on_simple_tensor():
@@ -133,8 +139,8 @@ def test_projector_algebra():
 def test_projectors_exact_in_rational_mode():
     # vals[k][a] = z[a][k] for z = ((2/3, 5/7 g0), (-1/2 g1, 4/9))
     vals = [
-        [GrassmannElement(N, {0: Fraction(2, 3)}), GrassmannElement(N, {0b10: Fraction(-1, 2)})],
-        [GrassmannElement(N, {0b1: Fraction(5, 7)}), GrassmannElement(N, {0: Fraction(4, 9)})],
+        [GrassmannElement({0: Fraction(2, 3)}), GrassmannElement({0b10: Fraction(-1, 2)})],
+        [GrassmannElement({0b1: Fraction(5, 7)}), GrassmannElement({0: Fraction(4, 9)})],
     ]
     s = quantize_frame_values(vals)
     q = spin32_frame_values(vals, s)
@@ -146,9 +152,9 @@ def test_projectors_exact_in_rational_mode():
     p = [[half[a][k] for a in range(2)] for k in range(2)]
     assert quantize_frame_values(p) == s
     q_of_q = quantize_frame_values(q)
-    assert q_of_q == [GrassmannElement.zero(N)] * 2
+    assert q_of_q == [GrassmannElement.zero()] * 2
     assert spin32_frame_values(q, q_of_q) == q
-    assert spin32_frame_values(p, s) == [[GrassmannElement.zero(N)] * 2] * 2
+    assert spin32_frame_values(p, s) == [[GrassmannElement.zero()] * 2] * 2
 
 
 def test_projectors_self_adjoint():
@@ -177,11 +183,11 @@ def test_image_characterization():
 
 
 def test_metric_pair_example():
-    assert spinor_pair("metric", spin(1.0, 0.0), spin(1.0, 0.0)) == 1.0
+    assert metric(spin(1.0, 0.0), spin(1.0, 0.0)) == 1.0
 
 
 def test_symplectic_normalization():
-    assert spinor_pair("symplectic", spin(1.0, 0.0), spin(0.0, 1.0)) == 1.0
+    assert omega(spin(1.0, 0.0), spin(0.0, 1.0)) == 1.0
 
 
 def test_symplectic_skewness_of_clifford_action():
@@ -190,8 +196,8 @@ def test_symplectic_skewness_of_clifford_action():
         s = rand_spinor(rng, parity=1)
         t = rand_spinor(rng, parity=1)
         for gamma in (GAMMA1, GAMMA2):
-            total = (spinor_pair("symplectic", s, spin(*mat_apply(gamma, t.components)))
-                     + spinor_pair("symplectic", spin(*mat_apply(gamma, s.components)), t))
+            total = (omega(s, spin(*mat_apply(gamma, t.components)))
+                     + omega(spin(*mat_apply(gamma, s.components)), t))
             assert total.max_abs() <= 1e-14
 
 
@@ -200,8 +206,8 @@ def test_metric_symmetry_of_clifford_action():
     for _ in range(50):
         s, t = rand_spinor(rng), rand_spinor(rng)
         for gamma in (GAMMA1, GAMMA2):
-            diff = (spinor_pair("metric", s, spin(*mat_apply(gamma, t.components)))
-                    - spinor_pair("metric", spin(*mat_apply(gamma, s.components)), t))
+            diff = (metric(s, spin(*mat_apply(gamma, t.components)))
+                    - metric(spin(*mat_apply(gamma, s.components)), t))
             assert diff.max_abs() <= 1e-14
 
 
@@ -210,10 +216,8 @@ def test_odd_pair_exchange_signs():
     for _ in range(50):
         s = rand_spinor(rng, parity=1)
         t = rand_spinor(rng, parity=1)
-        assert (spinor_pair("metric", s, t)
-                + spinor_pair("metric", t, s)).max_abs() <= 1e-14
-        assert (spinor_pair("symplectic", s, t)
-                - spinor_pair("symplectic", t, s)).max_abs() <= 1e-14
+        assert (metric(s, t) + metric(t, s)).max_abs() <= 1e-14
+        assert (omega(s, t) - omega(t, s)).max_abs() <= 1e-14
 
 
 def test_symplectic_dual_frame_images():
@@ -276,7 +280,7 @@ def test_parity_transport():
         for out in outs:
             for c in out:
                 assert c.parity in (1, 0) and (c.parity == 1 or not c.coeffs)
-        pair = spinor_pair("symplectic", s, s)
+        pair = omega(s, s)
         assert pair.parity in (0, None) and pair.parity == 0
 
 

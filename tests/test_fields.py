@@ -55,6 +55,14 @@ def test_generator_block_discipline():
         make_trig_field("varspinor", [ModeSpec("varspinor", (0,), (0, 0), 1.0, 9)], g)
 
 
+def test_mode_of_another_kind_is_rejected():
+    g = grid()
+    for kind, spec in (("map", ModeSpec("spinor", (0,), (1, 0), 1.0)),
+                       ("spinor", ModeSpec("gravitino", (0, 0), (1, 0), 1.0, 0))):
+        with pytest.raises(ValueError, match=f"{spec.kind} mode given to a {kind} field"):
+            make_trig_field(kind, [spec], g)
+
+
 def test_wavevector_sign_convention():
     g = grid()
     phi_cos = make_trig_field("map", [ModeSpec("map", (0,), (1, 0), 2.0)], g, dim=1)

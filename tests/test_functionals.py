@@ -15,7 +15,7 @@ from supertorus.functionals import (
     super_action,
 )
 from supertorus.geometry import FrameField, curvature_of_torsion, integrate
-from supertorus.grassmann import EPS, GeneratorMismatch, GrassmannElement
+from supertorus.grassmann import EPS, GrassmannElement
 from supertorus.grids import GridScalar, TorusGrid
 
 # each odd generator sits on two spinor slots; a lexicographically negative
@@ -97,41 +97,6 @@ def _full_gravitino(grid):
     return make_trig_field("gravitino", [
         ModeSpec("gravitino", slot, WAVEVECTORS[(g + j) % 4], float(rng.uniform(-0.5, 0.5)), g)
         for g in (3, 4, 5) for j, slot in enumerate(SPINOR_SLOTS)], grid)
-
-
-def _no_field_arithmetic(*args):
-    raise AssertionError("field arithmetic ran before the generator check")
-
-
-@pytest.mark.parametrize("name,gens,highest", [
-    ("super_action", 4, 5), ("dym_dhym_action", 2, 2), ("dirac_action", 2, 2),
-    ("coupling_quartic", 5, 5), ("coupling_mixed", 3, 5), ("coupling_ruled_out", 4, 5)])
-def test_functionals_check_gens_before_any_field_arithmetic(
-        action_inputs, monkeypatch, name, gens, highest):
-    grid, phi, psi, chi, u, du = action_inputs
-    e = FrameField.conformal(grid, GridScalar.dual(u, du))
-    call = {
-        "super_action": lambda g: super_action(phi, psi, chi, e, gens=g),
-        "dym_dhym_action": lambda g: dym_dhym_action(phi, psi, e, gens=g),
-        "dirac_action": lambda g: dirac_action(psi, e, gens=g),
-        "coupling_quartic": lambda g: coupling_quartic(chi, psi, e, gens=g),
-        "coupling_mixed": lambda g: coupling_mixed(chi, phi, psi, e, gens=g),
-        "coupling_ruled_out": lambda g: coupling_ruled_out(chi, psi, e, gens=g),
-    }[name]
-    with monkeypatch.context() as m:
-        for op in ("__mul__", "__add__", "__sub__", "partial"):
-            m.setattr(GridScalar, op, _no_field_arithmetic)
-        with pytest.raises(GeneratorMismatch, match=f"gens={gens} .* generator {highest}"):
-            call(gens)
-        with pytest.raises(ValueError, match="17"):
-            call(17)
-    # one more generator is enough, and changes no coefficient
-    full, covered = call(8), call(highest + 1)
-    if hasattr(full, "total"):
-        full, covered = full.total, covered.total
-    assert full.value.coeffs == covered.value.coeffs
-    assert full.variation.coeffs == covered.variation.coeffs
-    assert covered.value.gens == highest + 1
 
 
 def test_super_action_value_slot_ignores_the_variation(action_inputs):
@@ -319,8 +284,8 @@ def test_super_action_is_infinitesimally_conformally_invariant(action_inputs):
 
 
 def test_breakdown_rejects_an_odd_variation():
-    even, odd = GrassmannElement(4, {0b11: 1.0}), GrassmannElement(4, {0b1: 1.0})
-    zero = GrassmannElement.zero(4)
+    even, odd = GrassmannElement({0b11: 1.0}), GrassmannElement({0b1: 1.0})
+    zero = GrassmannElement.zero()
     entries = dict.fromkeys(ActionBreakdown.__dataclass_fields__, zero)
     ActionBreakdown(**{**entries, "dirac": even + _eps(even)})
     for entry in (odd, odd + _eps(even), even + _eps(odd)):
@@ -330,11 +295,11 @@ def test_breakdown_rejects_an_odd_variation():
 
 def _eps(x):
     """``eps * x``, built from the masks: each monomial of ``x`` under ``EPS``."""
-    return GrassmannElement(x.gens, {m | EPS: c for m, c in x.coeffs.items()})
+    return GrassmannElement({m | EPS: c for m, c in x.coeffs.items()})
 
 
 def test_breakdown_rejects_an_entry_outside_the_ring():
-    entries = dict.fromkeys(ActionBreakdown.__dataclass_fields__, GrassmannElement.zero(4))
+    entries = dict.fromkeys(ActionBreakdown.__dataclass_fields__, GrassmannElement.zero())
     for entry in (1.0, 0, None):
         with pytest.raises(TypeError, match="harmonic"):
             ActionBreakdown(**{**entries, "harmonic": entry})

@@ -242,12 +242,12 @@ def test_integrate_and_gradient_energy():
     g = grid(periods=(2.0, 1.0))
     e = FrameField.flat(g)
     const = GridScalar.constant(g, 0.7)
-    assert abs(integrate(const, e, gens=2).coeffs[0] - 0.7 * 2.0) <= 1e-13
+    assert abs(integrate(const, e).coeffs[0] - 0.7 * 2.0) <= 1e-13
 
     phi = wave(g, (1, 0), trig="sin")
     grad = gradient(phi, e)
     energy = integrate(
-        grad[0] * phi.partial(0) + grad[1] * phi.partial(1), e, gens=2)
+        grad[0] * phi.partial(0) + grad[1] * phi.partial(1), e)
     expected = (2 * np.pi / 2.0) ** 2 * 2.0 / 2.0
     assert abs(energy.coeffs[0] - expected) <= 1e-11
 
@@ -257,7 +257,7 @@ def test_divergence_theorem_curved():
     u = wave(g, (1, 0), amp=0.15, trig="sin")
     e = FrameField.conformal(g, u)
     J = [wave(g, (1, 1), trig="sin"), wave(g, (2, 0))]
-    total = integrate(divergence(J, e), e, gens=2)
+    total = integrate(divergence(J, e), e)
     assert total.max_abs() <= 1e-12
 
 

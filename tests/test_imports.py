@@ -1,8 +1,8 @@
 """Every imported name in the package and its tests is used, every private
-helper of the package has a caller, every cross-reference in a package
-docstring names something the package defines, every console script
-resolves, and every source file parses at the Python floor that
-``pyproject.toml`` declares."""
+helper of the package has a caller, every defaulted parameter of the package
+is passed somewhere, every cross-reference in a package docstring names
+something the package defines, every console script resolves, and every
+source file parses at the Python floor that ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -103,6 +103,92 @@ def test_scan_flags_an_orphaned_private_helper():
 
 def test_no_orphaned_private_helpers():
     assert orphaned_privates({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def defaulted_parameters(sources: dict[str, str]):
+    """``(label, called name, parameter, position)`` for each parameter with
+    a default of a function or method of ``sources``.  A method's position
+    leaves out ``self`` or ``cls``; keyword-only parameters have position
+    None.  ``__init__`` is called by its class's name."""
+    for fname, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if cls is not None and not static else 0
+            label = f"{fname}: {cls.name + '.' if cls else ''}{fn.name}"
+            called = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            for i in range(len(args) - len(fn.args.defaults), len(args)):
+                yield label, called, args[i].arg, i - skip
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield label, called, arg.arg, None
+
+
+def passed_arguments(sources: dict[str, str]) -> dict[str, tuple[set, float]]:
+    """Per called name, the keywords some call passes (None for ``**``) and
+    the most positional arguments one passes (infinite through ``*``).
+    ``name(...)`` and ``obj.name(...)`` call ``name``, except on a module
+    bound by ``import``; ``cls(...)`` calls the class it appears in."""
+    out: dict[str, tuple[set, float]] = {}
+    for source in sources.values():
+        tree = ast.parse(source)
+        modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        enclosing = {id(node): cls.name for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                name = enclosing.get(id(call), func.id) if func.id == "cls" else func.id
+            elif isinstance(func, ast.Attribute) and getattr(func.value, "id", None) not in modules:
+                name = func.attr
+            else:
+                continue
+            keywords, most = out.get(name, (set(), 0))
+            unpacked = any(isinstance(a, ast.Starred) for a in call.args)
+            out[name] = (keywords | {kw.arg for kw in call.keywords},
+                         max(most, float("inf") if unpacked else len(call.args)))
+    return out
+
+
+def unpassed_defaults(package: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """``label(parameter=)`` for each defaulted parameter of ``package`` that
+    no call in ``callers`` passes, by keyword or by position."""
+    passed = passed_arguments(callers)
+    out = []
+    for label, called, param, position in defaulted_parameters(package):
+        keywords, most = passed.get(called, (set(), 0))
+        if not (param in keywords or None in keywords
+                or position is not None and position < most):
+            out.append(f"{label}({param}=)")
+    return sorted(out)
+
+
+def test_scan_flags_an_unpassed_default():
+    package = ("def f(a, b=1, *, c=2): pass\n"
+               "class C:\n"
+               "    def __init__(self, x=0, y=0): pass\n"
+               "    @classmethod\n    def make(cls): return cls(1)\n"
+               "    def m(self, z=None): pass\n"
+               "    @staticmethod\n    def s(w=1): pass\n"
+               "    def t(self, v=1): pass\n"
+               "    def k(self, *, u=1): pass\n")
+    callers = "import np\nf(1, 2)\nC(y=3)\nC().m()\nnp.s(1)\nC().t(*[1])\nC().k(**{})\n"
+    assert unpassed_defaults({"m.py": package}, {"m.py": package, "t.py": callers}) == [
+        "m.py: C.m(z=)", "m.py: C.s(w=)", "m.py: f(c=)"]
+
+
+def test_every_default_is_passed_somewhere():
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert unpassed_defaults({p.name: p.read_text() for p in PACKAGE}, callers) == []
 
 
 ROLE = re.compile(r":(?:func|class|meth|mod|data|attr):`~?\.?([\w.]+)`")
