@@ -12,6 +12,12 @@ in rational mode):
   ``eps_{12} = +1``, so :func:`symplectic_dual` sends the frame spinors
   ``s1 -> s^2`` and ``s2 -> -s^1``.
 
+Spinor data is plain sequences in one layout: a spinor is a component pair
+``(s0, s1)``, and a spinor-valued one-form is ``z[k][a]``, spinor component
+``a`` of its value on frame (form) index ``k``, so ``z[k]`` is a spinor.
+:func:`quantize`, :func:`theta_insert` and :func:`omega` raise
+:class:`RingMismatch` when their components mix coefficient rings.
+
 Component rings are generic: plain numbers, ``Fraction``, ``complex``, the
 grid scalars of :mod:`grids`, or bare numpy arrays.  This module is the
 single place where a gamma matrix touches a component: the field, geometry
@@ -25,7 +31,6 @@ applied as ``Fraction(1, 2)`` so exact rings stay exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
 
@@ -73,64 +78,35 @@ def mat_apply(m, pair):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MajoranaSpinor:
-    """Value of a section of the rank-two real spinor bundle."""
-
-    components: tuple
-
-    def __post_init__(self):
-        check_uniform(*self.components)
-
-
-@dataclass(frozen=True)
-class DualSpinor:
-    """Value in the dual spinor module, components on the dual frame."""
-
-    components: tuple
-
-
-@dataclass(frozen=True)
-class SpinorForm:
-    """Spinor-valued one-form value: components[a][mu], both indices 0/1."""
-
-    components: tuple  # 2x2 nested tuple, spinor index first
-
-
-def quantize(z: SpinorForm) -> MajoranaSpinor:
-    """Contract the form index with the gamma action: ``gamma^k z_k``."""
-    comps = z.components
+def quantize(z):
+    """Contract the form index with the gamma action: ``gamma^k z[k]``."""
+    check_uniform(*z[0], *z[1])
     out0 = out1 = None
-    for mu, gamma in enumerate(GAMMAS):
-        col = (comps[0][mu], comps[1][mu])
-        acted = mat_apply(gamma, col)
+    for gamma, zk in zip(GAMMAS, z):
+        acted = mat_apply(gamma, zk)
         out0 = acted[0] if out0 is None else out0 + acted[0]
         out1 = acted[1] if out1 is None else out1 + acted[1]
-    return MajoranaSpinor((out0, out1))
+    return (out0, out1)
 
 
-def theta_insert(s: MajoranaSpinor) -> SpinorForm:
+def theta_insert(s):
     """Right inverse of ``quantize``: insert a spinor as a spin-1/2 one-form."""
-    half = tuple(c * HALF for c in s.components)
-    cols = [mat_apply(gamma, half) for gamma in GAMMAS]
-    return SpinorForm((
-        (cols[0][0], cols[1][0]),
-        (cols[0][1], cols[1][1]),
-    ))
+    check_uniform(*s)
+    half = tuple(c * HALF for c in s)
+    return tuple(mat_apply(gamma, half) for gamma in GAMMAS)
 
 
-def omega(s: MajoranaSpinor, t: MajoranaSpinor):
+def omega(s, t):
     """Symplectic pairing of two spinor values.
 
     Component products are taken in argument order, which is what produces
     the graded (anti)symmetries for odd coefficients.
     """
-    check_uniform(*s.components, *t.components)
-    rotated = mat_apply(ACI, s.components)
-    return rotated[0] * t.components[0] + rotated[1] * t.components[1]
+    check_uniform(*s, *t)
+    rotated = mat_apply(ACI, s)
+    return rotated[0] * t[0] + rotated[1] * t[1]
 
 
-def symplectic_dual(s: MajoranaSpinor) -> DualSpinor:
+def symplectic_dual(s):
     """``s~ = omega(s, .)``; on the frame, ``s_k ~-> eps_{kj} s^j``."""
-    c = s.components
-    return DualSpinor((-c[1], c[0]))
+    return (-s[1], s[0])

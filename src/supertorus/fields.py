@@ -13,9 +13,10 @@ Component conventions
   through the zweibein.
 
 Gravitino frame values ``vals[k][a]`` (spinor component ``a`` of
-``chi(e_k)``) meet gamma matrices only through :mod:`clifford`:
-:func:`quantize_frame_values` and :func:`spin32_frame_values`, the one
-q-split, are its ``quantize`` and ``theta_insert`` in that layout.
+``chi(e_k)``) are a spinor-valued one-form in the one layout of
+:mod:`clifford`, frame index first, and meet gamma matrices only through it:
+:func:`quantize_frame_values` is its ``quantize``, and
+:func:`spin32_frame_values`, the one q-split, subtracts its ``theta_insert``.
 
 Odd fields draw their generators from disjoint blocks so that no monomial of
 the functionals can collide: twisted spinors use generators 0-2, gravitinos
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import MajoranaSpinor, SpinorForm, omega, quantize, theta_insert
+from .clifford import quantize, theta_insert
 from .geometry import FrameField, sum_fields
 from .grids import GridScalar, ShapeMismatch, TorusGrid
 
@@ -196,6 +197,16 @@ def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2):
             raise ValueError(f"{spec.kind} mode given to a {kind} field")
         if max(abs(spec.wavevector[0]), abs(spec.wavevector[1])) > nyq:
             raise ValueError(f"mode {spec.wavevector} beyond the grid bandwidth")
+        if not np.isfinite(spec.amplitude):
+            raise ValueError(f"mode amplitude {spec.amplitude} is not finite")
+        no_slot = ValueError(f"component {spec.component} is no slot of a {kind} field")
+        target, slot = None, comps
+        for idx in spec.component:
+            if isinstance(slot, GridScalar) or not 0 <= idx < len(slot):
+                raise no_slot
+            target, slot = slot, slot[idx]
+        if not isinstance(slot, GridScalar):
+            raise no_slot
         if spec.generator >= 0:
             if not block:
                 raise GeneratorBudgetExceeded(
@@ -206,11 +217,7 @@ def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2):
         mask = 0 if spec.generator < 0 else 1 << spec.generator
         arr = _trig_array(grid, spec.wavevector, spec.amplitude)
         arr.flags.writeable = False  # handed to the field as it is, not copied
-        target = comps
-        for idx in spec.component[:-1]:
-            target = target[idx]
-        idx = spec.component[-1]
-        target[idx] = target[idx] + GridScalar(grid, {mask: arr})
+        target[spec.component[-1]] = slot + GridScalar(grid, {mask: arr})
     if kind == "torsion":
         return comps
     return type(field)(comps)
@@ -238,18 +245,12 @@ def frame_values_to_form(values, e: FrameField) -> GravitinoField:
 
 
 def quantize_frame_values(vals):
-    """``gamma^k chi(e_k)`` on frame-indexed spinor values ``vals[k][a]``."""
-    form = SpinorForm(tuple((vals[0][a], vals[1][a]) for a in range(2)))
-    return list(quantize(form).components)
+    """``gamma^k chi(e_k)`` on frame values ``vals[k][a]``."""
+    return list(quantize(vals))
 
 
 def spin32_frame_values(vals, s):
     """Frame values of the spin-3/2 part ``chi - theta(s)``, where
     ``s = quantize_frame_values(vals)`` is the spin-1/2 part of ``chi``."""
-    half = theta_insert(MajoranaSpinor(tuple(s))).components
-    return [[vals[k][a] - half[a][k] for a in range(2)] for k in range(2)]
-
-
-def spinor_omega(s, t):
-    """Symplectic spinor pairing on component pairs, first argument left."""
-    return omega(MajoranaSpinor(tuple(s)), MajoranaSpinor(tuple(t)))
+    half = theta_insert(s)
+    return [[vals[k][a] - half[k][a] for a in range(2)] for k in range(2)]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dataclass_fields
 
-from .clifford import GAMMA_PRODUCTS, MajoranaSpinor, mat_apply, symplectic_dual
+from .clifford import GAMMA_PRODUCTS, mat_apply, omega, symplectic_dual
 from .fields import (
     GravitinoField,
     MapField,
@@ -35,7 +35,6 @@ from .fields import (
     gravitino_frame_values,
     quantize_frame_values,
     spin32_frame_values,
-    spinor_omega,
 )
 from .geometry import FrameField, dirac_apply, integrate, sum_fields
 from .grassmann import EPS, GrassmannElement
@@ -130,7 +129,7 @@ def gravitino_split_frame_values(chi: GravitinoField, e: FrameField):
 def quartic_density(vals, qvals, psi: TwistedSpinorField) -> GridScalar:
     """``sum_i omega(chi(e_i), (q chi)(e_i)) (psi, psi)`` from the frame
     values of ``chi`` and ``q chi``."""
-    q_pairing = sum_fields(spinor_omega(vals[i], qvals[i]) for i in range(2))
+    q_pairing = sum_fields(omega(vals[i], qvals[i]) for i in range(2))
     return q_pairing * pairing_E_density(psi.comps, psi.comps)
 
 
@@ -143,7 +142,7 @@ def coupling_quartic(chi: GravitinoField, psi: TwistedSpinorField, e: FrameField
     for i in range(2):
         for j in range(2):
             rotated = mat_apply(GAMMA_PRODUCTS[j][i], vals[j])
-            term = spinor_omega(vals[i], rotated)
+            term = omega(vals[i], rotated)
             acc = term if acc is None else acc + term
     return integrate(acc * pairing_E_density(psi.comps, psi.comps), e)
 
@@ -153,9 +152,8 @@ def mixed_density(qvals, dphi, psi: TwistedSpinorField) -> GridScalar:
     dim = len(dphi[0])
     tilded = [[None] * dim for _ in range(2)]
     for a in range(dim):
-        contracted = MajoranaSpinor(tuple(
-            sum_fields(qvals[k][b] * dphi[k][a] for k in range(2)) for b in range(2)))
-        tilded[0][a], tilded[1][a] = symplectic_dual(contracted).components
+        contracted = [sum_fields(qvals[k][b] * dphi[k][a] for k in range(2)) for b in range(2)]
+        tilded[0][a], tilded[1][a] = symplectic_dual(contracted)
     return pairing_E_density(tilded, psi.comps)
 
 
@@ -181,7 +179,7 @@ def coupling_ruled_out(chi: GravitinoField, psi: TwistedSpinorField, e: FrameFie
         for i in range(2):
             for j in range(2):
                 rotated = mat_apply(GAMMA_PRODUCTS[j][i], spinor_a)
-                term = spinor_omega(vals[i], rotated) * spinor_omega(spinor_a, vals[j])
+                term = omega(vals[i], rotated) * omega(spinor_a, vals[j])
                 acc = term if acc is None else acc + term
     return integrate(acc, e)
 

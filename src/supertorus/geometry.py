@@ -12,7 +12,7 @@ the solve goes through the generic field arithmetic, frames carrying an
 coframe, metric, volume and connection.
 
 Spinor-valued data is passed around as nested lists of :class:`GridScalar`
-components; the typed wrappers live in :mod:`fields`.  Gamma matrices act
+components; the field types live in :mod:`fields`.  Gamma matrices act
 only through :mod:`clifford`.  :func:`spin_cov_deriv` and :func:`dirac_apply`
 share one spin covariant derivative, ``_covariant``: :func:`dirac_apply`
 computes the coefficients ``(Gamma + A)/2`` once per call, runs it per target
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford import GAMMA12, SpinorForm, mat_apply, quantize
+from .clifford import GAMMA12, mat_apply, quantize
 from .grassmann import NoBody
 from .grids import GridScalar, ShapeMismatch, TorusGrid
 
@@ -40,7 +40,9 @@ class FrameField:
     """Zweibein ``comps[k][mu]`` of even fields; derived data is cached."""
 
     def __init__(self, comps):
-        self.comps = [[comps[k][mu] for mu in range(2)] for k in range(2)]
+        if len(comps) != 2 or any(len(row) != 2 for row in comps):
+            raise ValueError("a zweibein has 2x2 components")
+        self.comps = [list(row) for row in comps]
         grid = self.comps[0][0].grid
         for row in self.comps:
             for c in row:
@@ -197,11 +199,12 @@ def dirac_apply(psi, e: FrameField, A=None):
     out = [[None] * d for _ in range(2)]
     for a in range(d):
         nabla = _covariant([psi[0][a], psi[1][a]], coeff)
-        z = SpinorForm(tuple(
-            tuple(sum_fields(e.comps[j][mu] * nabla[m][mu] for mu in range(2))
-                  for j in range(2))
-            for m in range(2)))
-        out[0][a], out[1][a] = quantize(z).components
+        # built spinor index first, then transposed to the frame-first z[j][m]
+        z = tuple(zip(*[
+            [sum_fields(e.comps[j][mu] * nabla[m][mu] for mu in range(2))
+             for j in range(2)]
+            for m in range(2)]))
+        out[0][a], out[1][a] = quantize(z)
     return out
 
 

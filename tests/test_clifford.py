@@ -7,7 +7,6 @@ from supertorus.clifford import (
     GAMMA1,
     GAMMA2,
     GAMMA12,
-    MajoranaSpinor,
     RingMismatch,
     mat_apply,
     omega,
@@ -26,25 +25,17 @@ W = (INV_SQRT2, -1j * INV_SQRT2)
 WBAR = (INV_SQRT2, 1j * INV_SQRT2)
 THETA = (INV_SQRT2, 1j * INV_SQRT2)
 THETA_BAR = (INV_SQRT2, -1j * INV_SQRT2)
-# Frame values below use the action's layout vals[k][a]: spinor component a
-# of the gravitino evaluated on frame vector k.
-
-
-def spin(c1, c2):
-    return MajoranaSpinor((c1, c2))
+# Spinors are pairs (s0, s1); one-forms and frame values use the action's
+# layout vals[k][a]: spinor component a of the gravitino on frame vector k.
 
 
 def metric(s, t):
-    """Metric pairing of two spinor values, component products in argument
-    order."""
-    return s.components[0] * t.components[0] + s.components[1] * t.components[1]
+    """Metric pairing of two spinors, component products in argument order."""
+    return s[0] * t[0] + s[1] * t[1]
 
 
 def rand_spinor(rng, parity=None):
-    return MajoranaSpinor((
-        random_element(rng, N, parity=parity),
-        random_element(rng, N, parity=parity),
-    ))
+    return (random_element(rng, N, parity=parity), random_element(rng, N, parity=parity))
 
 
 def rand_vals(rng):
@@ -73,7 +64,7 @@ def test_clifford_act_representation():
 def test_clifford_relation_orthogonal_anticommute():
     rng = np.random.default_rng(0)
     for _ in range(100):
-        s = rand_spinor(rng).components
+        s = rand_spinor(rng)
         g1g2 = mat_apply(GAMMA1, mat_apply(GAMMA2, s))
         g2g1 = mat_apply(GAMMA2, mat_apply(GAMMA1, s))
         assert_close([a + b for a, b in zip(g1g2, g2g1)], [0, 0], tol=1e-14)
@@ -82,14 +73,25 @@ def test_clifford_relation_orthogonal_anticommute():
 def test_clifford_relation_squares_to_norm():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        s = rand_spinor(rng).components
+        s = rand_spinor(rng)
         for gamma in (GAMMA1, GAMMA2):
             assert mat_apply(gamma, mat_apply(gamma, s)) == s
 
 
 def test_ring_mismatch():
+    # in quantize; a number and a Grassmann element on different frame legs
     with pytest.raises(RingMismatch):
-        MajoranaSpinor((1.0, GrassmannElement.one()))
+        quantize([[1.0, 0.0], [GrassmannElement.one(), 0.0]])
+
+
+def test_ring_mismatch_in_theta_insert():
+    with pytest.raises(RingMismatch):
+        theta_insert((1.0, GrassmannElement.one()))
+
+
+def test_ring_mismatch_in_omega():
+    with pytest.raises(RingMismatch):
+        omega((1.0, 0.0), (GrassmannElement.one(), GrassmannElement.zero()))
 
 
 def test_quantize_on_simple_tensor():
@@ -101,8 +103,7 @@ def test_quantize_theta_insert_identity():
     rng = np.random.default_rng(2)
     for _ in range(20):
         s = rand_spinor(rng)
-        back = quantize(theta_insert(s))
-        assert_close(back.components, s.components, tol=1e-14)
+        assert_close(quantize(theta_insert(s)), s, tol=1e-14)
 
 
 def test_quantize_kills_q_image_pattern():
@@ -112,10 +113,8 @@ def test_quantize_kills_q_image_pattern():
 
 
 def test_theta_insert_explicit():
-    z = theta_insert(spin(1.0, 0.0))
-    assert_close(z.components, ((0.5, 0.0), (0.0, 0.5)))
-    zero = theta_insert(spin(0.0, 0.0))
-    assert_close(zero.components, ((0.0, 0.0), (0.0, 0.0)))
+    assert_close(theta_insert((1.0, 0.0)), ((0.5, 0.0), (0.0, 0.5)))
+    assert_close(theta_insert((0.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)))
 
 
 def test_projector_algebra():
@@ -125,8 +124,7 @@ def test_projector_algebra():
         vals = rand_vals(rng)
         s = quantize_frame_values(vals)
         q = spin32_frame_values(vals, s)
-        half = theta_insert(MajoranaSpinor(tuple(s))).components
-        p = [[half[a][k] for a in range(2)] for k in range(2)]
+        p = theta_insert(s)
         assert_close([[p[k][a] + q[k][a] for a in range(2)] for k in range(2)],
                      vals, tol=1e-14)
         assert_close(quantize_frame_values(p), s, tol=1e-14)   # PP = P
@@ -137,19 +135,17 @@ def test_projector_algebra():
 
 
 def test_projectors_exact_in_rational_mode():
-    # vals[k][a] = z[a][k] for z = ((2/3, 5/7 g0), (-1/2 g1, 4/9))
     vals = [
         [GrassmannElement({0: Fraction(2, 3)}), GrassmannElement({0b10: Fraction(-1, 2)})],
         [GrassmannElement({0b1: Fraction(5, 7)}), GrassmannElement({0: Fraction(4, 9)})],
     ]
     s = quantize_frame_values(vals)
     q = spin32_frame_values(vals, s)
-    half = theta_insert(MajoranaSpinor(tuple(s))).components
+    p = theta_insert(s)
     assert any(c != 0 for row in q for c in row)
     for k in range(2):
         for a in range(2):
-            assert half[a][k] + q[k][a] == vals[k][a]
-    p = [[half[a][k] for a in range(2)] for k in range(2)]
+            assert p[k][a] + q[k][a] == vals[k][a]
     assert quantize_frame_values(p) == s
     q_of_q = quantize_frame_values(q)
     assert q_of_q == [GrassmannElement.zero()] * 2
@@ -183,11 +179,11 @@ def test_image_characterization():
 
 
 def test_metric_pair_example():
-    assert metric(spin(1.0, 0.0), spin(1.0, 0.0)) == 1.0
+    assert metric((1.0, 0.0), (1.0, 0.0)) == 1.0
 
 
 def test_symplectic_normalization():
-    assert omega(spin(1.0, 0.0), spin(0.0, 1.0)) == 1.0
+    assert omega((1.0, 0.0), (0.0, 1.0)) == 1.0
 
 
 def test_symplectic_skewness_of_clifford_action():
@@ -196,8 +192,7 @@ def test_symplectic_skewness_of_clifford_action():
         s = rand_spinor(rng, parity=1)
         t = rand_spinor(rng, parity=1)
         for gamma in (GAMMA1, GAMMA2):
-            total = (omega(s, spin(*mat_apply(gamma, t.components)))
-                     + omega(spin(*mat_apply(gamma, s.components)), t))
+            total = omega(s, mat_apply(gamma, t)) + omega(mat_apply(gamma, s), t)
             assert total.max_abs() <= 1e-14
 
 
@@ -206,8 +201,7 @@ def test_metric_symmetry_of_clifford_action():
     for _ in range(50):
         s, t = rand_spinor(rng), rand_spinor(rng)
         for gamma in (GAMMA1, GAMMA2):
-            diff = (metric(s, spin(*mat_apply(gamma, t.components)))
-                    - metric(spin(*mat_apply(gamma, s.components)), t))
+            diff = metric(s, mat_apply(gamma, t)) - metric(mat_apply(gamma, s), t)
             assert diff.max_abs() <= 1e-14
 
 
@@ -221,8 +215,8 @@ def test_odd_pair_exchange_signs():
 
 
 def test_symplectic_dual_frame_images():
-    assert symplectic_dual(spin(1.0, 0.0)).components == (0.0, 1.0)   # s1 -> s^2
-    assert symplectic_dual(spin(0.0, 1.0)).components == (-1.0, 0.0)  # s2 -> -s^1
+    assert symplectic_dual((1.0, 0.0)) == (0.0, 1.0)   # s1 -> s^2
+    assert symplectic_dual((0.0, 1.0)) == (-1.0, 0.0)  # s2 -> -s^1
 
 
 def test_weyl_split_examples():
@@ -261,8 +255,7 @@ def test_decompose_form_examples():
     assert_close(g_s, [0, 0], tol=1e-15)
     assert_close(spin32_frame_values(g, g_s), g, tol=1e-15)
 
-    half = theta_insert(spin(0.7, -0.2)).components
-    vals = [[half[a][k] for a in range(2)] for k in range(2)]
+    vals = theta_insert((0.7, -0.2))
     s = quantize_frame_values(vals)
     assert_close(s, [0.7, -0.2], tol=1e-15)
     assert_close(spin32_frame_values(vals, s), [[0, 0], [0, 0]], tol=1e-15)
@@ -275,8 +268,8 @@ def test_parity_transport():
     rng = np.random.default_rng(10)
     for _ in range(20):
         s = rand_spinor(rng, parity=1)
-        outs = [mat_apply(gamma, s.components) for gamma in (GAMMA1, GAMMA2, GAMMA12)]
-        outs.append(quantize(theta_insert(s)).components)
+        outs = [mat_apply(gamma, s) for gamma in (GAMMA1, GAMMA2, GAMMA12)]
+        outs.append(quantize(theta_insert(s)))
         for out in outs:
             for c in out:
                 assert c.parity in (1, 0) and (c.parity == 1 or not c.coeffs)
@@ -286,6 +279,6 @@ def test_parity_transport():
 
 def test_gamma12_matches_matrix_product():
     rng = np.random.default_rng(11)
-    s = rand_spinor(rng).components
+    s = rand_spinor(rng)
     assert_close(mat_apply(GAMMA1, mat_apply(GAMMA2, s)), mat_apply(GAMMA12, s),
                  tol=1e-15)

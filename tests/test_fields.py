@@ -63,6 +63,27 @@ def test_mode_of_another_kind_is_rejected():
             make_trig_field(kind, [spec], g)
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_amplitude_is_rejected(amplitude):
+    with pytest.raises(ValueError, match="not finite"):
+        make_trig_field("map", [ModeSpec("map", (0,), (1, 0), amplitude)], grid())
+
+
+@pytest.mark.parametrize("kind, component", [
+    ("map", (0, 1)),          # too long
+    ("map", (-1,)),           # would index from the end
+    ("map", (2,)),            # past the target dimension
+    ("spinor", (0, 5)),
+    ("spinor", (0,)),         # too short
+    ("gravitino", (2, 0)),
+    ("varspinor", ()),
+    ("torsion", (0, 0)),
+])
+def test_component_outside_the_field_is_rejected(kind, component):
+    with pytest.raises(ValueError, match="is no slot"):
+        make_trig_field(kind, [ModeSpec(kind, component, (1, 0), 1.0)], grid())
+
+
 def test_wavevector_sign_convention():
     g = grid()
     phi_cos = make_trig_field("map", [ModeSpec("map", (0,), (1, 0), 2.0)], g, dim=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from supertorus.clifford import GAMMA12, MajoranaSpinor, mat_apply, theta_insert
+from supertorus.clifford import GAMMA12, mat_apply, theta_insert
 from supertorus.fields import (GravitinoField, ModeSpec, ParityMismatch, TwistedSpinorField,
                                frame_values_to_form, make_trig_field)
 from supertorus.functionals import (
@@ -135,10 +135,8 @@ def _theta_shift(chi, s, e, swapped=False):
     """``chi + theta(s)``: the spin-1/2 insertion of ``s`` through the frame;
     with ``swapped`` the insertion's frame index is swapped, which is not a
     ``theta(s)`` direction."""
-    form = theta_insert(MajoranaSpinor(tuple(s.comps))).components
-    theta = frame_values_to_form(
-        [[form[a][1 - k if swapped else k] for a in range(2)] for k in range(2)], e)
-    return chi.plus(theta)
+    form = theta_insert(s.comps)
+    return chi.plus(frame_values_to_form(form[::-1] if swapped else form, e))
 
 
 def _shift_spinor(grid, rng):

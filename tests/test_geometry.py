@@ -132,6 +132,14 @@ def test_non_oriented_frame_rejected():
         FrameField([[one + bad, zero], [zero, one]])
 
 
+def test_frame_must_be_two_by_two():
+    one = GridScalar.constant(grid(), 1.0)
+    for comps in ([[one]], [[one, one]], [[one, one], [one]],
+                  [[one, one, one], [one, one, one]], [[one, one]] * 3):
+        with pytest.raises(ValueError, match="2x2"):
+            FrameField(comps)
+
+
 def test_nan_conformal_factor_rejected():
     g = grid()
     u = wave(g, (1, 0), amp=0.1).coeffs[0].copy()

@@ -1,8 +1,9 @@
 """Every imported name in the package and its tests is used, every private
 helper of the package has a caller, every defaulted parameter of the package
 is passed somewhere, every cross-reference in a package docstring names
-something the package defines, every console script resolves, and every
-source file parses at the Python floor that ``pyproject.toml`` declares."""
+something the package defines, every console script resolves, every entry
+point the benchmark's tracer wraps exists, and every source file parses at
+the Python floor that ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -266,6 +267,30 @@ def test_console_script_scan():
 def test_console_scripts_resolve():
     for name, target in console_scripts((ROOT / "pyproject.toml").read_text()).items():
         assert callable(resolve(target)), name
+
+
+def missing_entry_points(entry_points) -> list[str]:
+    """``span: owner.attribute`` for each ``(span, owner, attribute)`` whose
+    owner does not itself define the attribute, as patching it requires."""
+    return [f"{span}: {getattr(owner, '__name__', owner)}.{attr}"
+            for span, owner, attr in entry_points if attr not in vars(owner)]
+
+
+def test_entry_point_scan_flags_a_missing_attribute():
+    class Base:
+        def f(self): pass
+
+    class Derived(Base):
+        pass
+
+    points = [("a", Base, "f"), ("b", Derived, "f"), ("c", Base, "g")]
+    assert missing_entry_points(points) == ["b: Derived.f", "c: Base.g"]
+
+
+def test_traced_entry_points_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracer = importlib.import_module("tracer")
+    assert missing_entry_points(tracer.ENTRY_POINTS) == []
 
 
 def python_floor(pyproject: str) -> tuple[int, int]:
