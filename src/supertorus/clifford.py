@@ -39,7 +39,7 @@ HALF = Fraction(1, 2)
 GAMMA1 = ((1, 0), (0, -1))
 GAMMA2 = ((0, 1), (1, 0))
 GAMMAS = (GAMMA1, GAMMA2)
-# gamma^1 gamma^2; the torsion and spin connection act through this matrix
+# gamma^1 gamma^2; the spin connection acts through this matrix
 GAMMA12 = ((0, 1), (-1, 0))
 # almost complex structure, -gamma^1 gamma^2
 ACI = ((0, -1), (1, 0))

@@ -129,6 +129,8 @@ class MapField(_FieldBase):
 
 
 class TwistedSpinorField(_FieldBase):
+    """Any uniform parity; the torsion functional takes odd spinors only."""
+
     @property
     def dim(self) -> int:
         return len(self.comps[0])
@@ -142,7 +144,7 @@ class GravitinoField(_FieldBase):
     pass
 
 
-def zero_field(kind: str, grid: TorusGrid, dim: int = 2):
+def zero_field(kind: str, grid: TorusGrid, dim: int):
     zero = lambda: GridScalar.zeros(grid)
     if kind == "map":
         return MapField([zero() for _ in range(dim)])

@@ -111,13 +111,13 @@ def harmonic_energy(phi: MapField, e: FrameField):
     return integrate(harmonic_density(map_frame_differential(phi, e)), e)
 
 
-def dirac_density(psi: TwistedSpinorField, e: FrameField, A=None) -> GridScalar:
-    return pairing_E_density(psi.comps, dirac_apply(psi.comps, e, A))
+def dirac_density(psi: TwistedSpinorField, e: FrameField) -> GridScalar:
+    return pairing_E_density(psi.comps, dirac_apply(psi.comps, e))
 
 
-def dirac_action(psi: TwistedSpinorField, e: FrameField, A=None):
-    """Integrated graded Dirac pairing; independent of the torsion term."""
-    return integrate(dirac_density(psi, e, A), e)
+def dirac_action(psi: TwistedSpinorField, e: FrameField):
+    """Integrated graded Dirac pairing."""
+    return integrate(dirac_density(psi, e), e)
 
 
 def gravitino_split_frame_values(chi: GravitinoField, e: FrameField):
@@ -190,8 +190,7 @@ def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
 
     The mixed entry carries its factor of four, so the breakdown sums
     exactly to the total.  The curvature-square and scalar entries belong to
-    the torsion functionals and stay zero here, and the Dirac term runs
-    without torsion, which it cannot see.  The frame values ``dphi``,
+    the torsion functionals and stay zero here.  The frame values ``dphi``,
     ``chi(e_k)`` and ``(q chi)(e_k)`` are evaluated once and shared.
     """
     zero = GrassmannElement.zero()
@@ -208,22 +207,26 @@ def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
 
 
 def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
-                    A=None) -> ActionBreakdown:
-    """Torsion functionals: Dirac term with torsion plus curvature square.
-
-    The scalar-curvature entry is identically zero on the flat torus, where
-    it would only contribute a topological constant.
+                    A) -> ActionBreakdown:
+    """Torsion functional: harmonic and Dirac terms plus the curvature square
+    of the even torsion one-form ``A``.  It takes an odd (or zero) spinor, on
+    which torsion in the spin connection pairs to zero, so ``A`` enters only
+    through its curvature.  The scalar-curvature entry is identically zero
+    on the flat torus, where it would only contribute a topological constant.
     """
-    from .geometry import curvature_of_torsion, torsion_zero
+    from .geometry import curvature_of_torsion
 
-    A = A if A is not None else torsion_zero(e.grid)
+    if psi.parity != 1 and not psi.all_zero():
+        raise ParityMismatch(f"the torsion functional takes an odd spinor, got parity {psi.parity}")
+    if any(comp.parity != 0 for comp in A):
+        raise ValueError("torsion one-form components must be even")
     f12 = curvature_of_torsion(A)
     rho_inv = e.determinant
     fsq_density = f12 * f12 * rho_inv * rho_inv
     zero = GrassmannElement.zero()
     return ActionBreakdown(
         harmonic=integrate(harmonic_density(map_frame_differential(phi, e)), e),
-        dirac=integrate(dirac_density(psi, e, A), e),
+        dirac=integrate(dirac_density(psi, e), e),
         quartic_coupling=zero,
         mixed_coupling=zero,
         f_squared=integrate(fsq_density, e),

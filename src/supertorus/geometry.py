@@ -15,7 +15,7 @@ Spinor-valued data is passed around as nested lists of :class:`GridScalar`
 components; the field types live in :mod:`fields`.  Gamma matrices act
 only through :mod:`clifford`.  :func:`spin_cov_deriv` and :func:`dirac_apply`
 share one spin covariant derivative, ``_covariant``: :func:`dirac_apply`
-computes the coefficients ``(Gamma + A)/2`` once per call, runs it per target
+computes the coefficients ``Gamma/2`` once per call, runs it per target
 index and contracts the frame components with :func:`clifford.quantize`.
 """
 
@@ -40,7 +40,8 @@ class FrameField:
     """Zweibein ``comps[k][mu]`` of even fields; derived data is cached."""
 
     def __init__(self, comps):
-        if len(comps) != 2 or any(len(row) != 2 for row in comps):
+        if len(comps) != 2 or any(not isinstance(row, (list, tuple)) or len(row) != 2
+                                  for row in comps):
             raise ValueError("a zweibein has 2x2 components")
         self.comps = [list(row) for row in comps]
         grid = self.comps[0][0].grid
@@ -160,16 +161,9 @@ def levi_civita_form(e: FrameField):
     return [gamma1, gamma2]
 
 
-def torsion_zero(grid: TorusGrid):
-    return [GridScalar.zeros(grid), GridScalar.zeros(grid)]
-
-
-def _spin_coefficients(e: FrameField, A):
-    """``(Gamma_mu + A_mu)/2`` for mu = 0, 1; ``A=None`` is no torsion."""
-    A = torsion_zero(e.grid) if A is None else A
-    if any(comp.parity != 0 for comp in A):
-        raise ValueError("torsion one-form components must be even")
-    return [(gamma + a).scale(0.5) for gamma, a in zip(e.connection, A)]
+def _spin_coefficients(e: FrameField):
+    """``Gamma_mu/2`` for mu = 0, 1."""
+    return [gamma.scale(0.5) for gamma in e.connection]
 
 
 def _covariant(s, coeff):
@@ -178,23 +172,23 @@ def _covariant(s, coeff):
             for a in range(2)]
 
 
-def spin_cov_deriv(s, e: FrameField, A=None):
+def spin_cov_deriv(s, e: FrameField):
     """Spin covariant derivative of a primal spinor field.
 
     ``s`` is a pair of fields; the result is ``out[a][mu]`` with
-    ``out[.][mu] = d_mu s + (Gamma_mu + A_mu)/2 * gamma^1 gamma^2 s``.
+    ``out[.][mu] = d_mu s + Gamma_mu/2 * gamma^1 gamma^2 s``.
     """
-    return _covariant(s, _spin_coefficients(e, A))
+    return _covariant(s, _spin_coefficients(e))
 
 
-def dirac_apply(psi, e: FrameField, A=None):
-    """Dirac operator with torsion on a twisted (dual-spinor) field.
+def dirac_apply(psi, e: FrameField):
+    """Dirac operator on a twisted (dual-spinor) field.
 
     ``psi[k][a]`` carries a dual spinor index ``k`` and a flat target index
     ``a``; dual components transform by the same gamma matrices as primal
     ones, so ``(D psi)[l][a] = gamma^j_{lm} e_j^mu nabla_mu psi[m][a]``.
     """
-    coeff = _spin_coefficients(e, A)
+    coeff = _spin_coefficients(e)
     d = len(psi[0])
     out = [[None] * d for _ in range(2)]
     for a in range(d):

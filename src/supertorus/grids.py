@@ -87,21 +87,17 @@ class AliasingDetected(ArithmeticError):
 
 
 _MODES = ("spectral", "fd2", "fd4")
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on the flat torus.
-
-    ``spin_structure`` gives the boundary twist (0 periodic, 1 antiperiodic)
-    used for spinor-valued fields along each cycle; plain scalars are always
-    periodic.
-    """
+    """Uniform periodic grid on the flat torus; boundary twists belong to
+    the fields (``GridScalar.phases``)."""
 
     shape: tuple[int, int]
     periods: tuple[float, float] = (1.0, 1.0)
     mode: str = "spectral"
-    spin_structure: tuple[int, int] = (0, 0)
     alias_tol: float = 3e-9
 
     def __post_init__(self):
@@ -210,7 +206,7 @@ def _fd_partial(arr, axis, period, phase, order) -> np.ndarray:
     return np.divide(out, 12 * h, out=out)
 
 
-def _measure_profiles(arrays, shape, phases=(0, 0)) -> tuple[np.ndarray, np.ndarray]:
+def _measure_profiles(arrays, shape, phases) -> tuple[np.ndarray, np.ndarray]:
     p0 = np.zeros(shape[0])
     p1 = np.zeros(shape[1])
     norm = 1.0 / (shape[0] * shape[1])
@@ -374,8 +370,10 @@ class GridScalar:
 
     __slots__ = ("grid", "phases", "coeffs", "profiles", "reach")
 
-    def __init__(self, grid: TorusGrid, coeffs=None, phases: tuple[int, int] = (0, 0)):
-        self._fill(grid, _clean_bank(coeffs or {}, grid.shape), phases, None, None)
+    def __init__(self, grid: TorusGrid, coeffs, phases: tuple[int, int] = (0, 0)):
+        if phases not in _PHASES:
+            raise ValueError(f"phases must be a pair of 0s and 1s, got {phases!r}")
+        self._fill(grid, _clean_bank(coeffs, grid.shape), phases, None, None)
 
     def _fill(self, grid, coeffs, phases, profiles, reach):
         self.grid = grid

@@ -201,16 +201,58 @@ def test_quartic_coupling_is_super_weyl_invariant(frame):
     assert (after - before).max_abs() <= 1e-13
 
 
-def test_dirac_action_ignores_torsion(action_inputs):
-    grid, _, psi, _, u, _ = action_inputs
-    e = FrameField.conformal(grid, u)
-    A = make_trig_field("torsion", [
+def _torsion(grid):
+    return make_trig_field("torsion", [
         ModeSpec("torsion", (0,), (0, 0), 0.7),
         ModeSpec("torsion", (0,), (1, 0), 0.3),
         ModeSpec("torsion", (1,), (-1, 1), -0.4)], grid)
+
+
+def test_dirac_action_ignores_torsion(action_inputs):
+    grid, phi, psi, _, u, _ = action_inputs
+    e = FrameField.conformal(grid, u)
     plain = dirac_action(psi, e)
     assert plain.max_abs() > 1e-3
-    assert (dirac_action(psi, e, A) - plain).max_abs() <= 1e-14
+    assert dym_dhym_action(phi, psi, e, _torsion(grid)).dirac == plain
+
+
+def test_torsion_functional_takes_odd_spinors(action_inputs):
+    grid, phi, psi, _, u, _ = action_inputs
+    e = FrameField.conformal(grid, u)
+    A = _torsion(grid)
+    body = make_trig_field("spinor", [ModeSpec("spinor", (0, 1), (1, 0), 0.3)], grid)
+    for bad in (body, psi.plus(body)):
+        with pytest.raises(ParityMismatch, match="odd spinor"):
+            dym_dhym_action(phi, bad, e, A)
+    zero = make_trig_field("spinor", [], grid)
+    assert dym_dhym_action(phi, zero, e, A).dirac == GrassmannElement.zero()
+    with pytest.raises(ValueError, match="even"):
+        dym_dhym_action(phi, psi, e, [psi.comps[0][0], A[1]])
+
+
+@pytest.mark.parametrize("mode", ["spectral", "fd4", "fd2"])
+def test_torsion_functional_is_gauge_invariant(mode):
+    """``A -> A + d lambda`` leaves every entry, value and ``eps`` slot,
+    unchanged; the co-exact shift ``(-d_1 lambda, d_0 lambda)`` does not."""
+    grid, phi, psi, _, u, du = _inputs_on(TorusGrid((32, 32), mode=mode))
+    e = FrameField.conformal(grid, GridScalar.dual(u, du))
+    A = make_trig_field("torsion", [
+        ModeSpec("torsion", (0,), (0, 1), 0.3),
+        ModeSpec("torsion", (1,), (1, 0), -0.4),
+        ModeSpec("torsion", (1,), (-1, 1), 0.2)], grid)
+    lam = make_trig_field("map", [ModeSpec("map", (0,), (1, 1), 0.5),
+                                  ModeSpec("map", (0,), (-1, 1), -0.3)], grid, dim=1).comps[0]
+    d_lam = [lam.partial(0), lam.partial(1)]
+    before = dym_dhym_action(phi, psi, e, A)
+    after = dym_dhym_action(phi, psi, e, [A[0] + d_lam[0], A[1] + d_lam[1]])
+    scale = before.total.max_abs()
+    assert scale > 1.0 and before.f_squared.variation.max_abs() > 1e-2
+    for name in ActionBreakdown.__dataclass_fields__:
+        assert (getattr(after, name) - getattr(before, name)).max_abs() <= 1e-13 * scale, name
+    # the gauge shift moves no entry by more than 1.8e-15 on a total of 25;
+    # the co-exact shift moves f_squared by about 1.1e3
+    coexact = dym_dhym_action(phi, psi, e, [A[0] - d_lam[1], A[1] + d_lam[0]])
+    assert (coexact.f_squared - before.f_squared).max_abs() > 1.0
 
 
 @pytest.mark.parametrize("frame", ["flat", "conformal"])

@@ -284,6 +284,16 @@ def test_phase_mismatch_add_raises():
         wave(g, (1, 0)) + wave(g, (1, 0), phases=(1, 0))
 
 
+@pytest.mark.parametrize("phases", [(2, 0), (0, -1), (1,), (0, 0, 0)])
+def test_phases_outside_pairs_of_zero_and_one_are_rejected(phases):
+    g = grid32()
+    with pytest.raises(ValueError, match="phases"):
+        GridScalar(g, {0: np.ones(g.shape)}, phases=phases)
+    with pytest.raises(ValueError, match="phases"):
+        GridScalar.zeros(g, phases)
+    assert GridScalar.zeros(g, (1, 0)).phases == (1, 0)
+
+
 def test_inverse_of_even_field():
     g = grid32()
     body = 1.5 + wave(g, (1, 1), amp=0.3).coeffs[0]

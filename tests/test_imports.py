@@ -1,9 +1,9 @@
 """Every imported name in the package and its tests is used, every private
 helper of the package has a caller, every defaulted parameter of the package
-is passed somewhere, every cross-reference in a package docstring names
-something the package defines, every console script resolves, every entry
-point the benchmark's tracer wraps exists, and every source file parses at
-the Python floor that ``pyproject.toml`` declares."""
+is both passed and omitted somewhere, every cross-reference in a package
+docstring names something the package defines, every console script
+resolves, every entry point the benchmark's tracer wraps exists, and every
+source file parses at the Python floor that ``pyproject.toml`` declares."""
 
 import ast
 import importlib
@@ -131,12 +131,13 @@ def defaulted_parameters(sources: dict[str, str]):
                     yield label, called, arg.arg, None
 
 
-def passed_arguments(sources: dict[str, str]) -> dict[str, tuple[set, float]]:
-    """Per called name, the keywords some call passes (None for ``**``) and
-    the most positional arguments one passes (infinite through ``*``).
-    ``name(...)`` and ``obj.name(...)`` call ``name``, except on a module
-    bound by ``import``; ``cls(...)`` calls the class it appears in."""
-    out: dict[str, tuple[set, float]] = {}
+def call_sites(sources: dict[str, str]) -> dict[str, list[tuple[set, float]]]:
+    """Per called name, one ``(keywords, positional count)`` per call: the
+    keywords it passes (None for ``**``) and how many positional arguments
+    (infinite through ``*``).  ``name(...)`` and ``obj.name(...)`` call
+    ``name``, except on a module bound by ``import``; ``cls(...)`` calls the
+    class it appears in."""
+    out: dict[str, list[tuple[set, float]]] = {}
     for source in sources.values():
         tree = ast.parse(source)
         modules = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
@@ -153,24 +154,37 @@ def passed_arguments(sources: dict[str, str]) -> dict[str, tuple[set, float]]:
                 name = func.attr
             else:
                 continue
-            keywords, most = out.get(name, (set(), 0))
             unpacked = any(isinstance(a, ast.Starred) for a in call.args)
-            out[name] = (keywords | {kw.arg for kw in call.keywords},
-                         max(most, float("inf") if unpacked else len(call.args)))
+            out.setdefault(name, []).append(({kw.arg for kw in call.keywords},
+                                             float("inf") if unpacked else len(call.args)))
     return out
+
+
+def _passes(site, param, position) -> bool:
+    """Whether a call site passes the parameter; ``**`` and ``*`` may."""
+    keywords, count = site
+    return (param in keywords or None in keywords
+            or position is not None and position < count)
 
 
 def unpassed_defaults(package: dict[str, str], callers: dict[str, str]) -> list[str]:
     """``label(parameter=)`` for each defaulted parameter of ``package`` that
     no call in ``callers`` passes, by keyword or by position."""
-    passed = passed_arguments(callers)
-    out = []
-    for label, called, param, position in defaulted_parameters(package):
-        keywords, most = passed.get(called, (set(), 0))
-        if not (param in keywords or None in keywords
-                or position is not None and position < most):
-            out.append(f"{label}({param}=)")
-    return sorted(out)
+    sites = call_sites(callers)
+    return sorted(f"{label}({param}=)"
+                  for label, called, param, position in defaulted_parameters(package)
+                  if not any(_passes(s, param, position) for s in sites.get(called, ())))
+
+
+def unomitted_defaults(package: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """``label(parameter=)`` for each defaulted parameter of ``package`` that
+    every call in ``callers`` passes, so that its default is never used; a
+    function with no call is left to :func:`unpassed_defaults`."""
+    sites = call_sites(callers)
+    return sorted(f"{label}({param}=)"
+                  for label, called, param, position in defaulted_parameters(package)
+                  if sites.get(called) and all(_passes(s, param, position)
+                                               for s in sites[called]))
 
 
 def test_scan_flags_an_unpassed_default():
@@ -190,6 +204,27 @@ def test_scan_flags_an_unpassed_default():
 def test_every_default_is_passed_somewhere():
     callers = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
     assert unpassed_defaults({p.name: p.read_text() for p in PACKAGE}, callers) == []
+
+
+def test_scan_flags_an_unomitted_default():
+    package = ("def f(a, b=1, *, c=2): pass\n"
+               "class C:\n"
+               "    def __init__(self, x=0, y=0): pass\n"
+               "    @classmethod\n    def make(cls): return cls(1)\n"
+               "    def m(self, z=None): pass\n"
+               "    @staticmethod\n    def s(w=1): pass\n"
+               "    def t(self, v=1): pass\n"
+               "    def k(self, *, u=1): pass\n"
+               "def g(q=1): pass\n")
+    callers = ("import np\nf(1, 2, c=3)\nf(0, c=1)\nC(y=3)\nC().m(None)\nnp.s(1)\n"
+               "C().t(*[1])\nC().k(**{})\n")
+    assert unomitted_defaults({"m.py": package}, {"m.py": package, "t.py": callers}) == [
+        "m.py: C.k(u=)", "m.py: C.m(z=)", "m.py: C.t(v=)", "m.py: f(c=)"]
+
+
+def test_every_default_is_omitted_somewhere():
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in SOURCES}
+    assert unomitted_defaults({p.name: p.read_text() for p in PACKAGE}, callers) == []
 
 
 ROLE = re.compile(r":(?:func|class|meth|mod|data|attr):`~?\.?([\w.]+)`")
