@@ -8,7 +8,8 @@ The package builds a small laboratory out of four layers:
 * ``clifford`` -- the real rank-two spinor module of Cl(2,0) with its
   symplectic pairing, the spin-1/2 insertion and frame conventions,
 * ``grids``/``geometry`` -- spectral and finite-difference calculus on a
-  periodic grid with a Grassmann-even zweibein,
+  periodic grid over the unit square, and a Grassmann-even zweibein that
+  carries all metric data, the torus's shape included,
 * ``fields``/``functionals`` -- the physical fields and the energy
   functionals built from them, whose first variations ride along in the
   ``eps`` monomials.

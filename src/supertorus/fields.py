@@ -1,4 +1,4 @@
-"""Physical fields: map, twisted spinor, gravitino, and their constructors.
+"""Physical fields: map, twisted spinor, gravitino, torsion, and their constructors.
 
 Component conventions
 ---------------------
@@ -10,7 +10,9 @@ Component conventions
   ``varspinor`` kind);
 * ``GravitinoField.comps[a][mu]`` -- spinor frame index ``a`` against the
   *coordinate* one-form index ``mu``; frame evaluations ``chi(e_k)`` go
-  through the zweibein.
+  through the zweibein;
+* ``TorsionField.comps[mu]`` -- even coordinate component of the torsion
+  one-form.
 
 Gravitino frame values ``vals[k][a]`` (spinor component ``a`` of
 ``chi(e_k)``) are a spinor-valued one-form in the one layout of
@@ -116,9 +118,6 @@ class _FieldBase:
     def plus(self, other):
         return self.zip(other, lambda a, b: a + b)
 
-    def max_abs(self) -> float:
-        return max((f.max_abs() for f in _walk(self.comps)), default=0.0)
-
 
 class MapField(_FieldBase):
     expected_parity = 0
@@ -144,6 +143,12 @@ class GravitinoField(_FieldBase):
     pass
 
 
+class TorsionField(_FieldBase):
+    """Even torsion one-form; ``comps[mu]`` is the coordinate component."""
+
+    expected_parity = 0
+
+
 def zero_field(kind: str, grid: TorusGrid, dim: int):
     zero = lambda: GridScalar.zeros(grid)
     if kind == "map":
@@ -155,7 +160,7 @@ def zero_field(kind: str, grid: TorusGrid, dim: int):
     if kind == "gravitino":
         return GravitinoField([[zero(), zero()], [zero(), zero()]])
     if kind == "torsion":
-        return [zero(), zero()]
+        return TorsionField([zero(), zero()])
     raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -184,14 +189,14 @@ def _trig_array(grid: TorusGrid, wavevector, amplitude) -> np.ndarray:
     use_sin = (k1, k2) < (0, 0)
     if use_sin:
         k1, k2 = -k1, -k2
-    phase = 2 * np.pi * (k1 * x1 / grid.periods[0] + k2 * x2 / grid.periods[1])
+    phase = 2 * np.pi * (k1 * x1 + k2 * x2)
     return amplitude * (np.sin(phase) if use_sin else np.cos(phase))
 
 
 def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2):
     """Assemble a field of ``kind`` from a deterministic table of its modes."""
     field = zero_field(kind, grid, dim)
-    comps = field if kind == "torsion" else field.comps
+    comps = field.comps
     block = GENERATOR_BLOCKS[kind]
     nyq = min(grid.shape[0], grid.shape[1]) // 2 - 1
     for spec in specs:
@@ -220,8 +225,6 @@ def make_trig_field(kind: str, specs, grid: TorusGrid, dim: int = 2):
         arr = _trig_array(grid, spec.wavevector, spec.amplitude)
         arr.flags.writeable = False  # handed to the field as it is, not copied
         target[spec.component[-1]] = slot + GridScalar(grid, {mask: arr})
-    if kind == "torsion":
-        return comps
     return type(field)(comps)
 
 

@@ -31,6 +31,7 @@ from .fields import (
     GravitinoField,
     MapField,
     ParityMismatch,
+    TorsionField,
     TwistedSpinorField,
     gravitino_frame_values,
     quantize_frame_values,
@@ -207,7 +208,7 @@ def super_action(phi: MapField, psi: TwistedSpinorField, chi: GravitinoField,
 
 
 def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
-                    A) -> ActionBreakdown:
+                    A: TorsionField) -> ActionBreakdown:
     """Torsion functional: harmonic and Dirac terms plus the curvature square
     of the even torsion one-form ``A``.  It takes an odd (or zero) spinor, on
     which torsion in the spin connection pairs to zero, so ``A`` enters only
@@ -218,8 +219,8 @@ def dym_dhym_action(phi: MapField, psi: TwistedSpinorField, e: FrameField,
 
     if psi.parity != 1 and not psi.all_zero():
         raise ParityMismatch(f"the torsion functional takes an odd spinor, got parity {psi.parity}")
-    if any(comp.parity != 0 for comp in A):
-        raise ValueError("torsion one-form components must be even")
+    if not isinstance(A, TorsionField):
+        raise TypeError(f"the torsion one-form must be a TorsionField, got {type(A).__name__}")
     f12 = curvature_of_torsion(A)
     rho_inv = e.determinant
     fsq_density = f12 * f12 * rho_inv * rho_inv

@@ -203,8 +203,9 @@ def dirac_apply(psi, e: FrameField):
 
 
 def curvature_of_torsion(A) -> GridScalar:
-    """Curvature ``F_12 = d_1 A_2 - d_2 A_1`` of the torsion one-form."""
-    return A[1].partial(0) - A[0].partial(1)
+    """Curvature ``F_12 = d_1 A_2 - d_2 A_1`` of the torsion one-form
+    (a :class:`fields.TorsionField`)."""
+    return A.comps[1].partial(0) - A.comps[0].partial(1)
 
 
 def integrate(f: GridScalar, e: FrameField):

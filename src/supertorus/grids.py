@@ -1,16 +1,18 @@
 """Periodic-grid calculus for Grassmann-valued scalar fields.
 
-A :class:`GridScalar` is a scalar field on a two-torus whose value at every
-grid point lies in the ring of :mod:`grassmann`: the exterior algebra
-extended by the even deformation parameter ``eps`` with ``eps**2 = 0``.  The
-field is stored as one real array per monomial, under the same masks as a
-:class:`GrassmannElement`: bits 0-15 are the odd generators and bit 16
-(:data:`EPS`) is ``eps``, so the coefficient of ``eps * m`` sits under the
-key ``m | EPS``.  Because ``eps`` is even and nilpotent, the ordinary graded
-product (skip overlapping masks, take the sign of the odd generators only)
-is also the Leibniz rule of the first variation, and integrals and constants
-carry their masks over unchanged.  All field algebra and all derivative
-engines act monomial-wise on these arrays.
+A :class:`GridScalar` is a scalar field on the unit square torus
+``[0, 1)^2`` whose value at every grid point lies in the ring of
+:mod:`grassmann`: the exterior algebra extended by the even deformation
+parameter ``eps`` with ``eps**2 = 0``.  The field is stored as one real
+array per monomial, under the same masks as a :class:`GrassmannElement`:
+bits 0-15 are the odd generators and bit 16 (:data:`EPS`) is ``eps``, so
+the coefficient of ``eps * m`` sits under the key ``m | EPS``.  Because
+``eps`` is even and nilpotent, the ordinary graded product (skip
+overlapping masks, take the sign of the odd generators only) is also the
+Leibniz rule of the first variation, and integrals and constants carry
+their masks over unchanged.  All field algebra and all derivative engines
+act monomial-wise on these arrays.  The torus's shape is metric data, so it
+belongs to the frame of :mod:`geometry`, not to the grid.
 
 Derivative engines
 ------------------
@@ -27,8 +29,8 @@ Aliasing guard
 Pointwise products of sampled fields fold spectral content beyond the
 Nyquist frequency back into the band.  Every field carries per-direction
 spectral mass profiles (sums of absolute Fourier coefficients); a product is
-legal when the convolution of the factors' profiles puts only a negligible
-fraction of its mass outside the band, and raises
+legal when the convolution of the factors' profiles puts at most
+:data:`ALIAS_TOL` of its mass outside the band, and raises
 :class:`AliasingDetected` otherwise.  Profiles of transcendental results
 (inversion, exponentials) are measured from the data; profiles of products
 fold the out-of-band mass back in, so the bound stays valid along chains.
@@ -88,17 +90,17 @@ class AliasingDetected(ArithmeticError):
 
 _MODES = ("spectral", "fd2", "fd4")
 _PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
+ALIAS_TOL = 3e-9  # largest fraction of a product's mass allowed past Nyquist
 
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform periodic grid on the flat torus; boundary twists belong to
-    the fields (``GridScalar.phases``)."""
+    """Uniform periodic grid on the unit square.  The torus's shape belongs
+    to the frame (sides ``(L1, L2)`` are the constant frame
+    ``diag(1/L1, 1/L2)``), boundary twists to the fields (``phases``)."""
 
     shape: tuple[int, int]
-    periods: tuple[float, float] = (1.0, 1.0)
     mode: str = "spectral"
-    alias_tol: float = 3e-9
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -109,22 +111,13 @@ class TorusGrid:
                     f"spectral mode needs even grid sizes >= 8, got {self.shape}")
             if n < 4:
                 raise ValueError(f"grid too small: {self.shape}")
-        if not all(0 < p < np.inf for p in self.periods):
-            raise ValueError(f"periods must be positive and finite, got {self.periods}")
-        if not self.alias_tol >= 0:
-            raise ValueError(f"alias_tol must be non-negative, got {self.alias_tol}")
-
-    @property
-    def spacings(self) -> tuple[float, float]:
-        return (self.periods[0] / self.shape[0], self.periods[1] / self.shape[1])
 
     @property
     def cell_volume(self) -> float:
-        h = self.spacings
-        return h[0] * h[1]
+        return (1.0 / self.shape[0]) * (1.0 / self.shape[1])
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        axes = [np.arange(n) * (p / n) for n, p in zip(self.shape, self.periods)]
+        axes = [np.arange(n) * (1.0 / n) for n in self.shape]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
@@ -142,8 +135,8 @@ def _twist(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _spectral_tables(n: int, axis: int, period: float, phase: int):
-    """Multiplier ``(2 pi i / period) k_eff``, twist and untwist (``None``
+def _spectral_tables(n: int, axis: int, phase: int):
+    """Multiplier ``2 pi i k_eff``, twist and untwist (``None``
     when periodic), shaped to broadcast along ``axis``; built once."""
     k = np.fft.fftfreq(n, d=1.0 / n)
     shape = [1, 1]
@@ -156,7 +149,7 @@ def _spectral_tables(n: int, axis: int, period: float, phase: int):
         twist = untwist = None
         k_eff = k.copy()
         k_eff[n // 2] = 0.0  # unpaired Nyquist mode carries no derivative
-    return _read_only((2j * np.pi / period) * k_eff.reshape(shape)), twist, untwist
+    return _read_only(2j * np.pi * k_eff.reshape(shape)), twist, untwist
 
 
 @lru_cache(maxsize=64)
@@ -165,8 +158,8 @@ def _profile_weights(n: int, phase: int) -> np.ndarray:
     return _read_only(np.abs(np.arange(n) - n // 2 + (0.5 if phase else 0.0)))
 
 
-def _spectral_partial(arr: np.ndarray, axis: int, period: float, phase: int) -> np.ndarray:
-    multiplier, twist, untwist = _spectral_tables(arr.shape[axis], axis, period, phase)
+def _spectral_partial(arr: np.ndarray, axis: int, phase: int) -> np.ndarray:
+    multiplier, twist, untwist = _spectral_tables(arr.shape[axis], axis, phase)
     spec = np.fft.fft(arr * twist if phase else arr, axis=axis)
     spec *= multiplier
     out = np.fft.ifft(spec, axis=axis)
@@ -186,10 +179,10 @@ def _rolled(arr: np.ndarray, shift: int, axis: int, phase: int) -> np.ndarray:
     return out
 
 
-def _fd_partial(arr, axis, period, phase, order) -> np.ndarray:
+def _fd_partial(arr, axis, phase, order) -> np.ndarray:
     """Central difference of order 2 or 4, in place in a fresh shifted sample:
     the operations of ``(-f2 + 8 f1 - 8 f-1 + f-2) / 12h`` in Python's order."""
-    h = period / arr.shape[axis]
+    h = 1.0 / arr.shape[axis]
     if order == 2:
         out = _rolled(arr, 1, axis, phase)
         out -= _rolled(arr, -1, axis, phase)
@@ -511,7 +504,7 @@ class GridScalar:
         """Per axis the convolution of the factors' profiles, or None where
         their reaches keep ``self * other`` in band; raises
         :class:`AliasingDetected` when the mass past the band, as
-        :func:`_profile_conv` takes it, exceeds ``alias_tol`` of the total."""
+        :func:`_profile_conv` takes it, exceeds :data:`ALIAS_TOL` of the total."""
         convs = []
         for axis, n in enumerate(self.grid.shape):
             if self.reach[axis] + other.reach[axis] <= (n - 1) // 2:
@@ -523,7 +516,7 @@ class GridScalar:
             # spectral mass is already at round-off level
             if self.grid.mode == "spectral" and wrapped > 1e-14:
                 total = float(conv.sum())
-                if wrapped > self.grid.alias_tol * total:
+                if wrapped > ALIAS_TOL * total:
                     raise AliasingDetected(
                         f"product pushes {wrapped:.3e} of {total:.3e} spectral mass "
                         f"past Nyquist along axis {axis}")
@@ -621,16 +614,15 @@ class GridScalar:
     def partial(self, axis: int) -> "GridScalar":
         """Partial derivative along a coordinate axis."""
         grid = self.grid
-        period = grid.periods[axis]
         phase = self.phases[axis]
         if grid.mode == "spectral":
-            engine = lambda arr: _spectral_partial(arr, axis, period, phase)
+            engine = lambda arr: _spectral_partial(arr, axis, phase)
         else:
             order = 2 if grid.mode == "fd2" else 4
-            engine = lambda arr: _fd_partial(arr, axis, period, phase, order)
+            engine = lambda arr: _fd_partial(arr, axis, phase, order)
         value = _kept((m, engine(a)) for m, a in self.coeffs.items())
         dprof = list(self.profiles)
-        dprof[axis] = (self.profiles[axis] * (2 * np.pi / period)
+        dprof[axis] = (self.profiles[axis] * (2 * np.pi)
                        * _profile_weights(grid.shape[axis], phase))
         return GridScalar._made(grid, value, self.phases, tuple(dprof), self.reach)
 

@@ -14,8 +14,8 @@ from supertorus.geometry import FrameField
 from supertorus.grids import EPS, GridScalar, TorusGrid
 
 
-def grid(shape=(32, 32), periods=(1.0, 1.0)):
-    return TorusGrid(shape, periods)
+def grid(shape=(32, 32)):
+    return TorusGrid(shape)
 
 
 def flat(g):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from supertorus.clifford import GAMMA12, mat_apply, theta_insert
-from supertorus.fields import (GravitinoField, ModeSpec, ParityMismatch, TwistedSpinorField,
-                               frame_values_to_form, make_trig_field)
+from supertorus.fields import (GravitinoField, ModeSpec, ParityMismatch, TorsionField,
+                               TwistedSpinorField, frame_values_to_form, make_trig_field)
 from supertorus.functionals import (
     ActionBreakdown,
     coupling_mixed,
@@ -117,6 +117,24 @@ def test_super_action_entries_match_standalone_functionals(action_inputs):
     assert out.mixed_coupling == coupling_mixed(chi, phi, psi, e) * 4.0
 
 
+def test_the_frame_carries_the_torus_shape():
+    """On the unit grid the constant frame ``diag(1/L1, 1/L2)`` is the flat
+    rectangle with sides ``(L1, L2)``: the harmonic energy of
+    ``cos 2 pi y_1`` is ``2 pi^2 L2 / L1``; swapping the sides moves it."""
+    grid = TorusGrid((32, 32))
+    phi = make_trig_field("map", [ModeSpec("map", (0,), (1, 0), 1.0)], grid)
+
+    def energy(sides):
+        zero = GridScalar.zeros(grid)
+        e = FrameField([[GridScalar.constant(grid, 1.0 / sides[0]), zero],
+                        [zero, GridScalar.constant(grid, 1.0 / sides[1])]])
+        return harmonic_energy(phi, e).coeffs[0]
+
+    want = 2 * np.pi ** 2 * 3.0 / 2.0
+    assert abs(energy((2.0, 3.0)) - want) <= 1e-12 * want
+    assert abs(energy((3.0, 2.0)) - energy((2.0, 3.0))) > 1.0
+
+
 def test_f_squared_is_the_curvature_square_over_the_density(action_inputs):
     grid, phi, psi, _, u, du = action_inputs
     e = FrameField.conformal(grid, GridScalar.dual(u, du))
@@ -226,8 +244,10 @@ def test_torsion_functional_takes_odd_spinors(action_inputs):
             dym_dhym_action(phi, bad, e, A)
     zero = make_trig_field("spinor", [], grid)
     assert dym_dhym_action(phi, zero, e, A).dirac == GrassmannElement.zero()
-    with pytest.raises(ValueError, match="even"):
-        dym_dhym_action(phi, psi, e, [psi.comps[0][0], A[1]])
+    with pytest.raises(ParityMismatch, match="TorsionField expected parity 0"):
+        TorsionField([psi.comps[0][0], A.comps[1]])
+    with pytest.raises(TypeError, match="TorsionField"):
+        dym_dhym_action(phi, psi, e, list(A.comps))
 
 
 @pytest.mark.parametrize("mode", ["spectral", "fd4", "fd2"])
@@ -244,14 +264,14 @@ def test_torsion_functional_is_gauge_invariant(mode):
                                   ModeSpec("map", (0,), (-1, 1), -0.3)], grid, dim=1).comps[0]
     d_lam = [lam.partial(0), lam.partial(1)]
     before = dym_dhym_action(phi, psi, e, A)
-    after = dym_dhym_action(phi, psi, e, [A[0] + d_lam[0], A[1] + d_lam[1]])
+    after = dym_dhym_action(phi, psi, e, A.plus(TorsionField(d_lam)))
     scale = before.total.max_abs()
     assert scale > 1.0 and before.f_squared.variation.max_abs() > 1e-2
     for name in ActionBreakdown.__dataclass_fields__:
         assert (getattr(after, name) - getattr(before, name)).max_abs() <= 1e-13 * scale, name
     # the gauge shift moves no entry by more than 1.8e-15 on a total of 25;
     # the co-exact shift moves f_squared by about 1.1e3
-    coexact = dym_dhym_action(phi, psi, e, [A[0] - d_lam[1], A[1] + d_lam[0]])
+    coexact = dym_dhym_action(phi, psi, e, A.plus(TorsionField([-d_lam[1], d_lam[0]])))
     assert (coexact.f_squared - before.f_squared).max_abs() > 1.0
 
 
@@ -274,7 +294,7 @@ def test_ruled_out_term_is_minus_half_the_quartic_invariant(frame, seed):
 def _weyl_factor(grid):
     """``v = 0.07 cos 2 pi x``, the conformal factor of the Weyl checks."""
     x, _ = grid.coordinates()
-    return GridScalar(grid, {0: 0.07 * np.cos(2 * np.pi * x / grid.periods[0])})
+    return GridScalar(grid, {0: 0.07 * np.cos(2 * np.pi * x)})
 
 
 def _weyl_moved(grid, phi, psi, chi, e, w_psi, w_chi):
@@ -379,7 +399,7 @@ def _rotation_moves(grid, phi, psi, chi, e, sign=1.0):
     ``psi`` (``comps[k][a]``) and ``chi`` (``comps[a][mu]``) turn by
     ``R = cos(theta/2) - sign * sin(theta/2) GAMMA12``."""
     x, _ = grid.coordinates()
-    theta = 0.3 * np.cos(2 * np.pi * x / grid.periods[0])
+    theta = 0.3 * np.cos(2 * np.pi * x)
     c, s, ch, sh = (GridScalar(grid, {0: f(t)}) for f, t in (
         (np.cos, theta), (np.sin, theta), (np.cos, theta / 2), (np.sin, theta / 2)))
     rows = e.comps

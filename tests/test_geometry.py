@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from supertorus.fields import TorsionField
 from supertorus.geometry import (
     FrameField,
     NonOrientedFrame,
@@ -19,15 +20,23 @@ from supertorus.grassmann import NoBody
 from supertorus.grids import EPS, GridScalar, TorusGrid
 
 
-def grid(mode="spectral", shape=(32, 32), periods=(1.0, 1.0)):
-    return TorusGrid(shape, periods, mode)
+def grid(mode="spectral", shape=(32, 32)):
+    return TorusGrid(shape, mode)
 
 
 def wave(g, k, amp=1.0, trig="cos", mask=0):
     x1, x2 = g.coordinates()
-    ph = 2 * np.pi * (k[0] * x1 / g.periods[0] + k[1] * x2 / g.periods[1])
+    ph = 2 * np.pi * (k[0] * x1 + k[1] * x2)
     arr = amp * (np.cos(ph) if trig == "cos" else np.sin(ph))
     return GridScalar(g, {mask: arr})
+
+
+def box_frame(g, sides):
+    """Constant frame ``diag(1/L1, 1/L2)``: the unit grid as the flat
+    rectangle with sides ``(L1, L2)``."""
+    zero = GridScalar.zeros(g)
+    return FrameField([[GridScalar.constant(g, 1.0 / sides[0]), zero],
+                       [zero, GridScalar.constant(g, 1.0 / sides[1])]])
 
 
 def cartan_residual(e: FrameField, gamma) -> float:
@@ -189,8 +198,8 @@ def test_spin_cov_deriv_parity():
 
 
 def test_dirac_constant_and_single_mode():
-    g = grid(periods=(2.0, 1.0))
-    e = FrameField.flat(g)
+    g = grid()
+    e = box_frame(g, (2.0, 1.0))
     zero = GridScalar.zeros(g)
     psi = [[GridScalar.constant(g, 1.0)], [GridScalar.constant(g, -2.0)]]
     out = dirac_apply(psi, e)
@@ -219,23 +228,23 @@ def test_dirac_squares_to_laplacian():
 
 
 def test_curvature_examples():
-    g = grid(periods=(1.0, 2.0))
-    A = [GridScalar.constant(g, 0.3), GridScalar.zeros(g)]
+    g = grid()
+    A = TorsionField([GridScalar.constant(g, 0.3), GridScalar.zeros(g)])
     assert curvature_of_torsion(A).max_abs() <= 1e-14
 
-    A = [wave(g, (0, 1), trig="sin"), GridScalar.zeros(g)]
+    A = TorsionField([wave(g, (0, 1), trig="sin"), GridScalar.zeros(g)])
     f = curvature_of_torsion(A)
-    expected = -(2 * np.pi / 2.0) * wave(g, (0, 1), trig="cos").coeffs[0]
+    expected = -2 * np.pi * wave(g, (0, 1), trig="cos").coeffs[0]
     assert np.max(np.abs(f.coeffs[0] - expected)) <= 1e-12
 
     u = wave(g, (1, 1), amp=0.4)
-    exact = [u.partial(0), u.partial(1)]
+    exact = TorsionField([u.partial(0), u.partial(1)])
     assert curvature_of_torsion(exact).max_abs() <= 1e-10
 
 
 def test_integrate_and_gradient_energy():
-    g = grid(periods=(2.0, 1.0))
-    e = FrameField.flat(g)
+    g = grid()
+    e = box_frame(g, (2.0, 1.0))
     const = GridScalar.constant(g, 0.7)
     assert abs(integrate(const, e).coeffs[0] - 0.7 * 2.0) <= 1e-13
 

@@ -10,17 +10,17 @@ from supertorus.grids import (EPS, AliasingDetected, GridScalar, ShapeMismatch, 
                               _spectral_tables)
 
 
-def grid32(mode="spectral", periods=(1.0, 1.0)):
-    return TorusGrid((32, 32), periods, mode)
+def grid32(mode="spectral"):
+    return TorusGrid((32, 32), mode)
 
 
 def wave(grid, k, amp=1.0, trig="cos", mask=0, phases=(0, 0)):
     x1, x2 = grid.coordinates()
-    ph = 2 * np.pi * (k[0] * x1 / grid.periods[0] + k[1] * x2 / grid.periods[1])
+    ph = 2 * np.pi * (k[0] * x1 + k[1] * x2)
     if phases[0]:
-        ph = ph + np.pi * x1 / grid.periods[0]
+        ph = ph + np.pi * x1
     if phases[1]:
-        ph = ph + np.pi * x2 / grid.periods[1]
+        ph = ph + np.pi * x2
     arr = amp * (np.cos(ph) if trig == "cos" else np.sin(ph))
     return GridScalar(grid, {mask: arr}, phases=phases)
 
@@ -30,29 +30,19 @@ def test_grid_validation():
         TorusGrid((10, 7), mode="spectral")
     with pytest.raises(ValueError):
         TorusGrid((16, 16), mode="chebyshev")
-    TorusGrid((10, 6), mode="fd2", periods=(2.0, 1.0))
-
-
-@pytest.mark.parametrize("periods", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
-def test_grid_rejects_periods_that_are_not_positive_and_finite(periods):
-    with pytest.raises(ValueError, match="periods"):
-        TorusGrid((16, 16), periods)
-
-
-@pytest.mark.parametrize("tol", [np.nan, -1e-9])
-def test_grid_rejects_an_alias_tol_that_is_nan_or_negative(tol):
-    with pytest.raises(ValueError, match="alias_tol"):
-        TorusGrid((16, 16), alias_tol=tol)
+    TorusGrid((10, 6), mode="fd2")
 
 
 @pytest.mark.parametrize("mode,tol", [("spectral", 1e-12), ("fd2", 3e-2), ("fd4", 2e-4)])
 def test_partial_derivative_single_mode(mode, tol):
-    g = grid32(mode, periods=(2.0, 1.0))
+    g = grid32(mode)
     f = wave(g, (1, 0), trig="sin")
     df = f.partial(0)
     x1, _ = g.coordinates()
-    expected = (2 * np.pi / 2.0) * np.cos(2 * np.pi * x1 / 2.0)
-    assert np.max(np.abs(df.coeffs[0] - expected)) <= tol
+    expected = 2 * np.pi * np.cos(2 * np.pi * x1)
+    # ``tol`` bounds the error per pi of derivative amplitude; fd2 and fd4
+    # are off by (2 pi h)^2 / 6 and (2 pi h)^4 / 30 of the amplitude 2 pi
+    assert np.max(np.abs(df.coeffs[0] - expected)) <= 2 * tol
 
 
 def test_partial_both_slots_and_masks():
@@ -65,22 +55,22 @@ def test_partial_both_slots_and_masks():
 
 def test_antiperiodic_spectral_derivative():
     g = grid32()
-    # half-integer mode cos(pi x / L): antiperiodic along axis 0
+    # half-integer mode cos(pi x): antiperiodic along axis 0
     x1, _ = g.coordinates()
-    arr = np.cos(np.pi * x1 / g.periods[0])
+    arr = np.cos(np.pi * x1)
     f = GridScalar(g, {0: arr}, phases=(1, 0))
     df = f.partial(0)
-    expected = -(np.pi / g.periods[0]) * np.sin(np.pi * x1 / g.periods[0])
+    expected = -np.pi * np.sin(np.pi * x1)
     assert np.max(np.abs(df.coeffs[0] - expected)) <= 1e-12
 
 
 def test_antiperiodic_fd_derivative():
     g = TorusGrid((64, 8), mode="fd2")
     x1, _ = g.coordinates()
-    arr = np.cos(np.pi * x1 / g.periods[0])
+    arr = np.cos(np.pi * x1)
     f = GridScalar(g, {0: arr}, phases=(1, 0))
     df = f.partial(0)
-    expected = -(np.pi / g.periods[0]) * np.sin(np.pi * x1 / g.periods[0])
+    expected = -np.pi * np.sin(np.pi * x1)
     assert np.max(np.abs(df.coeffs[0] - expected)) <= 5e-3
 
 
@@ -214,7 +204,7 @@ def test_profile_fold_matches_add_at(n):
 
 @pytest.mark.parametrize("mode", ["fd2", "fd4"])
 def test_products_on_odd_fd_grids(mode):
-    g = TorusGrid((9, 7), periods=(2.0, 3.0), mode=mode)
+    g = TorusGrid((9, 7), mode=mode)
     # the body product reaches frequency 5 on both axes, past the band
     a = wave(g, (3, 2)) + wave(g, (0, 1), mask=0b1)
     b = wave(g, (2, 3), trig="sin") + wave(g, (1, 0), mask=0b10)
@@ -250,15 +240,14 @@ def _with_eps(value, variation):
 
 
 def test_dual_constant_product_matches_dual_scalars():
-    g = TorusGrid((8, 8), periods=(2.0, 3.0))
-    area = 6.0
+    g = TorusGrid((8, 8))
     rng = np.random.default_rng(5)
     for trial in range(40):
         pa, pb = trial % 2, (trial // 2) % 2
         a, b = (_with_eps(random_element(rng, 8, parity=p), random_element(rng, 8, parity=p))
                 for p in (pa, pb))
         got = (GridScalar.constant(g, a) * GridScalar.constant(g, b)).integral()
-        assert ((a * b) * area - got).max_abs() <= 1e-12, (pa, pb)
+        assert ((a * b) - got).max_abs() <= 1e-12, (pa, pb)
 
 
 def test_masks_beyond_eps_rejected():
@@ -379,10 +368,10 @@ def test_exp_restricted_and_correct():
 
 
 def test_integral_constant():
-    g = TorusGrid((32, 32), periods=(2.0, 3.0))
+    g = TorusGrid((32, 32))
     f = GridScalar.constant(g, 1.25)
     val = f.integral()
-    assert abs(val.coeffs[0] - 1.25 * 6.0) <= 1e-12
+    assert abs(val.coeffs[0] - 1.25) <= 1e-12
 
 
 def test_integral_of_derivative_vanishes():
@@ -460,7 +449,7 @@ def test_scalar_and_element_coefficients():
     assert np.max(np.abs(left.coeffs[0b11] + right.coeffs[0b11])) == 0.0
 
 
-def _spectral_partial_uncached(arr, axis, period, phase):
+def _spectral_partial_uncached(arr, axis, phase):
     """Spectral derivative with every table built on the spot."""
     n = arr.shape[axis]
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -473,7 +462,7 @@ def _spectral_partial_uncached(arr, axis, period, phase):
         k_eff = k.copy()
         k_eff[n // 2] = 0.0
     spec = np.fft.fft(arr * t if phase else arr, axis=axis)
-    spec *= (2j * np.pi / period) * k_eff.reshape(shape)
+    spec *= 2j * np.pi * k_eff.reshape(shape)
     out = np.fft.ifft(spec, axis=axis)
     if phase:
         out *= np.conj(t)
@@ -484,12 +473,12 @@ def _spectral_partial_uncached(arr, axis, period, phase):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_spectral_tables_are_cached_and_exact(axis, phase):
     arr = np.random.default_rng(3).standard_normal((16, 8))
-    want = _spectral_partial_uncached(arr, axis, 2.5, phase)
+    want = _spectral_partial_uncached(arr, axis, phase)
     for _ in range(2):
-        assert np.array_equal(_spectral_partial(arr, axis, 2.5, phase), want)
-    assert _spectral_tables(arr.shape[axis], axis, 2.5, phase) is \
-        _spectral_tables(arr.shape[axis], axis, 2.5, phase)
-    for table in _spectral_tables(arr.shape[axis], axis, 2.5, phase):
+        assert np.array_equal(_spectral_partial(arr, axis, phase), want)
+    assert _spectral_tables(arr.shape[axis], axis, phase) is \
+        _spectral_tables(arr.shape[axis], axis, phase)
+    for table in _spectral_tables(arr.shape[axis], axis, phase):
         assert table is None or not table.flags.writeable
 
 
@@ -519,7 +508,7 @@ def _weighted_integral_cases(g):
 @pytest.mark.parametrize("case", ["eps", "eps-weight", "odd-eps-cancels",
                                   "empty-weight", "empty-field"])
 def test_weighted_integral_is_the_integral_of_the_product(case):
-    g = TorusGrid((16, 16), periods=(2.0, 3.0))
+    g = TorusGrid((16, 16))
     f, w = _weighted_integral_cases(g)[case]
     prod = f * w
     if case == "odd-eps-cancels":
@@ -542,7 +531,7 @@ def test_weighted_integral_keeps_the_aliasing_guard():
 
 
 def test_empty_operands_keep_the_grid_and_phase_checks():
-    g, other = grid32(), grid32(periods=(2.0, 1.0))
+    g, other = grid32(), TorusGrid((32, 16))
     zero, zero_twisted = GridScalar.zeros(g), GridScalar.zeros(g, phases=(1, 0))
     f = wave(g, (1, 0))
     for x, y in ((zero, wave(other, (1, 0))), (f, GridScalar.zeros(other))):
@@ -611,7 +600,7 @@ def test_zero_test_decides_as_any_on_every_shape():
 def test_zero_test_of_every_operation():
     """One-hot and NaN results are kept and exact zeros dropped, whichever
     point the zero test samples first."""
-    g = TorusGrid((6, 7), periods=(2.0, 3.0), mode="fd2")
+    g = TorusGrid((6, 7), mode="fd2")
     vol = g.cell_volume
     one = GridScalar.constant(g, 1.0)
     for k in range(6 * 7):
@@ -647,7 +636,7 @@ def test_zero_test_of_every_operation():
     assert np.isnan(nan.integral(weight=one).coeffs[0b1])
 
 
-def _fd_reference(arr, axis, period, phase, order):
+def _fd_reference(arr, axis, phase, order):
     """fd stencil with every shifted sample taken by ``np.take``; samples that
     wrap around a twisted axis change sign."""
     n = arr.shape[axis]
@@ -661,7 +650,7 @@ def _fd_reference(arr, axis, period, phase, order):
             out = out * np.where((idx < 0) | (idx >= n), -1.0, 1.0).reshape(shape)
         return out
 
-    h = period / n
+    h = 1.0 / n
     if order == 2:
         return (shifted(1) - shifted(-1)) / (2 * h)
     return (-shifted(2) + 8 * shifted(1) - 8 * shifted(-1) + shifted(-2)) / (12 * h)
@@ -669,7 +658,7 @@ def _fd_reference(arr, axis, period, phase, order):
 
 @pytest.mark.parametrize("mode", ["fd2", "fd4"])
 def test_antiperiodic_fd_stencil_wraps_with_a_sign(mode):
-    g = TorusGrid((9, 8), periods=(2.0, 3.0), mode=mode)
+    g = TorusGrid((9, 8), mode=mode)
     order = 2 if mode == "fd2" else 4
     arr = np.random.default_rng(7).standard_normal(g.shape)
     before = arr.copy()
@@ -677,9 +666,9 @@ def test_antiperiodic_fd_stencil_wraps_with_a_sign(mode):
     for phases in ((0, 0), (1, 0), (0, 1), (1, 1)):
         f = GridScalar(g, {0b1: arr}, phases=phases)
         for axis in range(2):
-            want = _fd_reference(arr, axis, g.periods[axis], phases[axis], order)
+            want = _fd_reference(arr, axis, phases[axis], order)
             assert f.partial(axis).coeffs[0b1].tobytes() == want.tobytes(), (phases, axis)
-            assert _fd_partial(arr, axis, g.periods[axis], phases[axis], order).tobytes() \
+            assert _fd_partial(arr, axis, phases[axis], order).tobytes() \
                 == want.tobytes()
             assert np.array_equal(arr, before)
 
@@ -798,7 +787,7 @@ def _profiles_by_fftshift(arrays, shape, phases):
                                         ("fd4", (7, 11))])
 @pytest.mark.parametrize("phases", _PHASES)
 def test_measured_profiles_match_fftshift_bitwise(mode, shape, phases):
-    g = TorusGrid(shape, periods=(2.0, 3.0), mode=mode)
+    g = TorusGrid(shape, mode=mode)
     rng = np.random.default_rng(sum(shape) + 2 * phases[0] + phases[1])
     arrays = [rng.standard_normal(shape) for _ in range(3)]
     want = _profiles_by_fftshift(arrays, shape, phases)
@@ -815,7 +804,7 @@ _CHAIN_GRIDS = [("spectral", (16, 10)), ("spectral", (32, 32)), ("fd2", (9, 8)),
 
 @pytest.mark.parametrize("mode,shape", _CHAIN_GRIDS)
 def test_reach_bounds_the_profile_support(mode, shape):
-    g = TorusGrid(shape, periods=(2.0, 3.0), mode=mode)
+    g = TorusGrid(shape, mode=mode)
     made, _ = _algebra_chain(g, seed=sum(shape))
     assert len(made) > 100
     assert GridScalar.zeros(g).reach == (-1, -1)
@@ -831,7 +820,7 @@ def test_reach_bounds_the_profile_support(mode, shape):
 
 @pytest.mark.parametrize("mode,shape", _CHAIN_GRIDS)
 def test_product_profile_is_the_folded_convolution_bitwise(mode, shape):
-    g = TorusGrid(shape, periods=(2.0, 3.0), mode=mode)
+    g = TorusGrid(shape, mode=mode)
     _, products = _algebra_chain(g, seed=sum(shape) + 1)
     paths = set()
     for a, b, prod in products:

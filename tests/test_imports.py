@@ -106,13 +106,39 @@ def test_no_orphaned_private_helpers():
     assert orphaned_privates({p.name: p.read_text() for p in PACKAGE}) == []
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated with ``dataclass``, called or not."""
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_defaults(cls: ast.ClassDef):
+    """``(field, position)`` for each defaulted field of a dataclass, the
+    position counted over the fields its ``__init__`` takes in order."""
+    fields = [stmt for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+              and "ClassVar" not in ast.unparse(stmt.annotation)]
+    for i, stmt in enumerate(fields):
+        if stmt.value is not None:
+            yield stmt.target.id, i
+
+
 def defaulted_parameters(sources: dict[str, str]):
     """``(label, called name, parameter, position)`` for each parameter with
     a default of a function or method of ``sources``.  A method's position
     leaves out ``self`` or ``cls``; keyword-only parameters have position
-    None.  ``__init__`` is called by its class's name."""
+    None.  ``__init__`` is called by its class's name, and so is the
+    ``__init__`` a ``@dataclass`` generates, whose parameters are the
+    class's fields."""
     for fname, source in sources.items():
         tree = ast.parse(source)
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                for field, position in _dataclass_defaults(cls):
+                    yield f"{fname}: {cls.name}", cls.name, field, position
         owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for fn in cls.body if isinstance(fn, ast.FunctionDef)}
         for fn in ast.walk(tree):
@@ -199,6 +225,24 @@ def test_scan_flags_an_unpassed_default():
     callers = "import np\nf(1, 2)\nC(y=3)\nC().m()\nnp.s(1)\nC().t(*[1])\nC().k(**{})\n"
     assert unpassed_defaults({"m.py": package}, {"m.py": package, "t.py": callers}) == [
         "m.py: C.m(z=)", "m.py: C.s(w=)", "m.py: f(c=)"]
+
+
+def test_scan_reads_dataclass_fields_as_parameters():
+    package = ("from dataclasses import dataclass\n"
+               "from typing import ClassVar\n"
+               "@dataclass(frozen=True)\n"
+               "class D:\n"
+               "    a: int\n    b: int = 1\n    c: str = 'x'\n    k: ClassVar[int] = 0\n"
+               "@dataclass\nclass E:\n    e: int = 0\n"
+               "class P:\n    p: int = 0\n")
+    callers = "D(0)\nD(0, 2)\nD(0, c='y')\nE(e=1)\nP()\n"
+    sources = {"m.py": package, "t.py": callers}
+    assert list(defaulted_parameters({"m.py": package})) == [
+        ("m.py: D", "D", "b", 1), ("m.py: D", "D", "c", 2), ("m.py: E", "E", "e", 0)]
+    assert unpassed_defaults({"m.py": package}, sources) == []
+    assert unomitted_defaults({"m.py": package}, sources) == ["m.py: E(e=)"]
+    assert unpassed_defaults({"m.py": package}, {"t.py": "D(0)\nE()\n"}) == [
+        "m.py: D(b=)", "m.py: D(c=)", "m.py: E(e=)"]
 
 
 def test_every_default_is_passed_somewhere():
